@@ -25,6 +25,7 @@ from typing import Dict, List
 
 from common import (WORK, CleanupGuard, Outcome, Probe, TreeMemory, median, run_for,
                     time_fresh_setup)
+from gauge import SpeedGauge, host_speed
 
 PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pins.json")
 
@@ -39,17 +40,14 @@ GRID_METHODS = ("Baseline", "Bin_Packing")
 GRID_SCALE = "paper"
 GRID_WORKERS = 2
 
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 SETUP_CODE = {
     "theta-bbsched": (
         "from repro.experiments.config import get_scale\n"
         "from repro.experiments.runner import run_one\n"
         "from repro.experiments.workloads import get_workload\n"
-        f"get_workload({THETA[0]!r}, get_scale({THETA[2]!r}))\n"
-        "print('ready', flush=True)\n"),
-    "grid-greedy": (
-        "from repro.experiments.grid import run_grid\n"
-        "print('ready', flush=True)\n"),
+        f"get_workload({THETA[0]!r}, get_scale({THETA[2]!r}))\n"),
+    "grid-greedy": "from repro.experiments.grid import run_grid\n",
 }
 
 
@@ -144,6 +142,8 @@ def theta_bbsched(seed: int, seconds: float, trace_mode: bool) -> Outcome:
     untraced: List[float] = []
     traced: List[float] = []
     rows: List[Dict[str, float]] = []
+    raw: List[float] = []
+    speeds: List[float] = []
 
     def op(i: int) -> float:
         with_trace = trace_mode and i % 2 == 1
@@ -152,24 +152,28 @@ def theta_bbsched(seed: int, seconds: float, trace_mode: bool) -> Outcome:
             wrap_engine_layers(probe)
         try:
             with use_tracer(tracer) if with_trace else nullcontext():
-                start = time.perf_counter()
-                result = run_one(trace, method, scale)
-                wall = time.perf_counter() - start
+                with SpeedGauge() as gauge:
+                    result = run_one(trace, method, scale)
         finally:
             probe.remove()
+        speeds.append(gauge.speed)
         out.attempted += 1
         digest = fingerprint_digest(result)
         if digest != pinned:
             out.fail(f"{workload}/{method}: digest {digest[:12]} "
                      f"differs from the pinned {pinned[:12]}")
         if not with_trace:
-            untraced.append(wall)
-            return wall
-        traced.append(wall)
+            untraced.append(gauge.scaled_s)
+            raw.append(gauge.wall_s)
+            return gauge.wall_s
+        traced.append(gauge.scaled_s)
         row = layer_times(tracer.summarize(), probe.take(), _counters(result), True)
-        row["telemetry.coverage_frac"] = sum(row[k] for k in SIM_LAYERS) / wall
+        # Spans also hold the gauge's own time, so compare them with the
+        # wall time that includes it.
+        row["telemetry.coverage_frac"] = (sum(row[k] for k in SIM_LAYERS)
+                                          / (gauge.wall_s + gauge.spent))
         rows.append(row)
-        return wall
+        return gauge.wall_s
 
     with TreeMemory() as memory:
         run_for(seconds, op, min_ops=2 if trace_mode else 1)
@@ -188,7 +192,8 @@ def theta_bbsched(seed: int, seconds: float, trace_mode: bool) -> Outcome:
         out.metrics["telemetry.overhead_frac"] = median(traced) / median(untraced) - 1.0
     out.notes = {"simulations": len(untraced),
                  "traced_simulations": len(traced), "setup_samples": len(setups),
-                 "latency_tail_percentile": 50}
+                 "latency_tail_percentile": 50, "run_wall_unscaled_s": median(raw),
+                 "host_speed": median(speeds)}
     return out
 
 
@@ -219,6 +224,22 @@ def _probe_cells(probe: Probe) -> None:
     probe.patch(grid, "run_one", make)
 
 
+def _gauge_cells(probe: Probe) -> None:
+    """Run every cell's simulation under a :class:`SpeedGauge` in its pool
+    worker and ship the kernel samples home on the result."""
+    from repro.experiments import grid
+
+    def make(run_one):
+        def gauged(*args, **kwargs):
+            with SpeedGauge() as gauge:
+                result = run_one(*args, **kwargs)
+            result.perfbench_speed = gauge.samples
+            return result
+        return gauged
+
+    probe.patch(grid, "run_one", make)
+
+
 def grid_greedy(seed: int, seconds: float, trace_mode: bool) -> Outcome:
     out = Outcome()
     setups = time_fresh_setup(SETUP_CODE["grid-greedy"], SETUP_REPEATS)
@@ -240,6 +261,10 @@ def grid_greedy(seed: int, seconds: float, trace_mode: bool) -> Outcome:
     traced: List[float] = []
     latencies: List[float] = []
     rows: List[Dict[str, float]] = []
+    raw: List[float] = []
+    speeds: List[float] = []
+    gauges = Probe()
+    _gauge_cells(gauges)
     # Every cell is appended to the ledger in the parent the moment it
     # completes, so the append's entry time is the cell's completion time.
     appends = Probe()
@@ -259,6 +284,8 @@ def grid_greedy(seed: int, seconds: float, trace_mode: bool) -> Outcome:
         finally:
             cells.remove()
         wall = end - start
+        speed = host_speed([s for r in results.values() for s in r.perfbench_speed])
+        speeds.append(speed)
         completed = appends.entered["checkpoint.ledger_append"]
         append_s = appends.take().get("checkpoint.ledger_append", 0.0)
         out.attempted += len(GRID_WORKLOADS) * len(GRID_METHODS)
@@ -267,10 +294,11 @@ def grid_greedy(seed: int, seconds: float, trace_mode: bool) -> Outcome:
             if digest != pins["/".join(key)]:
                 out.fail(f"{'/'.join(key)}: digest {digest[:12]} differs from the pinned")
         if not with_trace:
-            untraced.append(wall)
-            latencies.extend(t - start for t in completed)
+            untraced.append(wall * speed)
+            raw.append(wall)
+            latencies.extend((t - start) * speed for t in completed)
             return wall
-        traced.append(wall)
+        traced.append(wall * speed)
         snap = merge_snapshots(r.telemetry for r in results.values())
         probed: Dict[str, float] = defaultdict(float)
         cell_s: List[float] = []
@@ -303,6 +331,7 @@ def grid_greedy(seed: int, seconds: float, trace_mode: bool) -> Outcome:
         with TreeMemory() as memory:
             run_for(seconds, op, min_ops=2 if trace_mode else 1)
     finally:
+        gauges.remove()
         appends.remove()
         shutil.rmtree(workdir, ignore_errors=True)
     out.problems += guard.check((), (workdir,))
@@ -320,5 +349,6 @@ def grid_greedy(seed: int, seconds: float, trace_mode: bool) -> Outcome:
     out.notes = {"grids": len(untraced),
                  "traced_grids": len(traced), "cells": len(latencies),
                  "setup_samples": len(setups),
-                 "latency_tail_percentile": 50}
+                 "latency_tail_percentile": 50, "run_wall_unscaled_s": median(raw),
+                 "host_speed": median(speeds)}
     return out

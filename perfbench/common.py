@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 ROOT = os.path.abspath(os.getcwd())
 SRC = os.path.join(ROOT, "src")
 WORK = os.path.join(ROOT, ".perfbench_work")
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def require_program() -> None:
@@ -89,24 +90,36 @@ def run_for(seconds: float, op: Callable[[int], float], min_ops: int = 1) -> Lis
 
 # --- set-up in fresh interpreters ---------------------------------------------------
 def time_fresh_setup(code: str, repeats: int) -> List[float]:
-    """Seconds from spawning ``python3 -c code`` until it prints ``ready``.
+    """Seconds from spawning ``python3 -c code`` until it is ready, scaled
+    to the reference host speed.
 
     Each repeat is a new interpreter, so imports and lazily built state
-    are paid every time, as a user starting the program pays them.
+    are paid every time, as a user starting the program pays them.  The
+    child runs ``code`` under a :class:`gauge.SpeedGauge` and reports the
+    host speed it saw and the time its gauge spent.
     """
+    gauged = ("import sys\n"
+              f"sys.path.append({HERE!r})\n"
+              "from gauge import SpeedGauge\n"
+              "gauge = SpeedGauge(period=0.02).__enter__()\n"
+              f"{code}"
+              "gauge.__exit__()\n"
+              "print('ready', gauge.speed, gauge.spent, flush=True)\n")
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-c", code], cwd=ROOT,
+        proc = subprocess.Popen([sys.executable, "-c", gauged], cwd=ROOT,
                                 env=child_env(), stdout=subprocess.PIPE)
         try:
             line = proc.stdout.readline()
-            times.append(time.perf_counter() - t0)
+            wall = time.perf_counter() - t0
         finally:
             proc.stdout.close()
             proc.wait(60)
-        if line.strip() != b"ready" or proc.returncode != 0:
+        fields = line.split()
+        if len(fields) != 3 or fields[0] != b"ready" or proc.returncode != 0:
             raise RuntimeError(f"set-up child failed (rc={proc.returncode})")
+        times.append((wall - float(fields[2])) * float(fields[1]))
     return times
 
 
