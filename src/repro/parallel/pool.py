@@ -3,66 +3,28 @@
 §3.2.2 notes the MOO solve "can be accelerated by leveraging parallel
 processing"; at the harness level the natural parallel axis is the
 experiment grid itself — 80 independent (method, workload) simulations in
-§4.  :func:`parallel_map` fans a pure function over argument tuples with a
-:class:`concurrent.futures.ProcessPoolExecutor`, degrading transparently
-to serial execution on single-core machines (``nproc==1``) or when
-``workers=1`` — results are bit-identical either way because every task
-carries its own seed.
-
-The pool is *supervised*: a multi-hour grid must survive one wedged cell.
-
-* ``timeout`` bounds each attempt's wall-clock time; an overdue task is
-  abandoned and the wedged worker's pool is rebuilt so the slot comes
-  back (the hung process is terminated best-effort).
-* ``retries`` re-dispatches crashed, failed, or timed-out tasks with the
-  shared :class:`~repro.resilience.BackoffPolicy` damping successive
-  attempts.  A worker crash (``BrokenProcessPool``) fails *every* task in
-  flight on the broken pool, and at that instant the parent cannot tell
-  the crasher from its co-resident victims — so a pool break never
-  charges the retry budget directly.  Instead every task that was in
-  flight becomes a *suspect*, and suspects are re-dispatched in
-  isolation (at most one in flight at a time): a suspect that completes
-  is exonerated, while a suspect whose isolated attempt breaks the pool
-  again is the proven crasher and is charged a retry attempt.  Healthy
-  victims therefore always get a free requeue, and a crash-looping task
-  is still bounded by its own budget.
-* Exhausting the budget raises :class:`~repro.errors.TaskError` carrying
-  the task index, its arguments, the attempt count, and the final
-  traceback, so a failed grid names its cell instead of a bare
-  exception from nowhere.
-* ``on_result`` fires in the parent as each task completes (completion
-  order, not input order) — the hook :mod:`repro.experiments.grid` uses
-  to persist cells to the results ledger the moment they exist.
+§4.  :func:`parallel_map` fans a pure function over argument tuples on
+the shared :class:`~repro.parallel.supervisor.Supervisor`, stepping it
+from the calling thread, and degrades to serial execution on single-core
+machines (``nproc==1``) or when ``workers=1`` — results are bit-identical
+either way because every task carries its own seed.  Workers are
+fork-started, so whatever the caller patched or registered before the
+call (a custom solver, a probe) reaches them.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 import traceback
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import ConfigurationError, TaskError
 from ..resilience import BackoffPolicy
+from .supervisor import DEFAULT_POOL_BACKOFF, Supervisor, Task
 
 T = TypeVar("T")
-
-#: Wall-clock damping between re-dispatches of a failed task.  Much
-#: tighter than the simulated-time requeue default — a grid retry should
-#: not stall the harness for a minute.
-DEFAULT_POOL_BACKOFF = BackoffPolicy(initial=0.25, factor=2.0, max_delay=30.0)
 
 
 def default_workers() -> int:
@@ -128,165 +90,6 @@ def _serial_map(
     return results
 
 
-def _shutdown(pool: ProcessPoolExecutor, *, terminate: bool) -> None:
-    """Stop a pool; optionally terminate its workers (wedged/abandoned).
-
-    ``_processes`` is executor-internal, but terminating a provably hung
-    worker is the whole point of supervision — guarded so a stdlib
-    layout change degrades to abandonment instead of crashing.
-    """
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=not terminate, cancel_futures=terminate)
-    if terminate:
-        for proc in processes:
-            try:
-                proc.terminate()
-            except Exception:  # pragma: no cover - already-dead worker
-                pass
-
-
-def _supervised_map(
-    fn: Callable[..., T],
-    tasks: Sequence[Tuple[Any, ...]],
-    workers: int,
-    timeout: Optional[float],
-    retries: int,
-    backoff: BackoffPolicy,
-    on_result: Optional[Callable[[int, T], None]],
-) -> List[T]:
-    n = len(tasks)
-    results: List[Optional[T]] = [None] * n
-    attempts = [0] * n
-    pending: deque = deque(range(n))
-    waiting: List[Tuple[float, int]] = []   # (ready_at, index) retry queue
-    inflight: Dict[Future, Tuple[int, Optional[float]]] = {}  # future → (index, deadline)
-    #: tasks that were in flight when a pool broke; dispatched in isolation
-    #: (at most one at a time) until they complete or break a pool alone.
-    suspects: set = set()
-    pool = ProcessPoolExecutor(max_workers=workers)
-
-    def submit(index: int) -> None:
-        attempts[index] += 1
-        future = pool.submit(fn, *tasks[index])
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        inflight[future] = (index, deadline)
-
-    def retry_or_raise(index: int, exc: Optional[BaseException] = None,
-                       reason: Optional[str] = None) -> None:
-        if attempts[index] > retries:
-            raise _task_error(index, tasks[index], attempts[index], exc, reason) from exc
-        waiting.append((time.monotonic() + backoff.delay(attempts[index]), index))
-
-    def requeue_free(index: int) -> None:
-        attempts[index] -= 1
-        pending.append(index)
-
-    def suspect_in_flight() -> bool:
-        return any(index in suspects for index, _ in inflight.values())
-
-    def dispatch() -> None:
-        # Fill free workers from the pending queue, but isolate suspects:
-        # at most one task that has ever broken a pool runs at a time, so
-        # the next break names its crasher instead of a crowd.
-        held: List[int] = []
-        while pending and len(inflight) < workers:
-            index = pending.popleft()
-            if index in suspects and suspect_in_flight():
-                held.append(index)
-                continue
-            submit(index)
-        pending.extendleft(reversed(held))
-
-    def rebuild_pool(mark_suspects: bool = False) -> None:
-        # The wedged/dead pool's healthy in-flight tasks are victims,
-        # not causes: requeue them immediately without charging attempts.
-        nonlocal pool
-        for future, (index, _) in inflight.items():
-            future.cancel()
-            requeue_free(index)
-            if mark_suspects:
-                suspects.add(index)
-        inflight.clear()
-        _shutdown(pool, terminate=True)
-        pool = ProcessPoolExecutor(max_workers=workers)
-
-    failed = False
-    try:
-        while pending or waiting or inflight:
-            now = time.monotonic()
-            if waiting:
-                due = [index for ready_at, index in waiting if ready_at <= now]
-                if due:
-                    waiting[:] = [w for w in waiting if w[0] > now]
-                    pending.extend(due)
-            dispatch()
-            if not inflight:
-                # Nothing running: sleep until the earliest retry matures.
-                time.sleep(max(0.0, min(r for r, _ in waiting) - time.monotonic()))
-                continue
-            wake: Optional[float] = None
-            deadlines = [d for _, d in inflight.values() if d is not None]
-            if deadlines:
-                wake = max(0.0, min(deadlines) - now)
-            if waiting:
-                next_retry = max(0.0, min(r for r, _ in waiting) - now)
-                wake = next_retry if wake is None else min(wake, next_retry)
-            done, _ = wait(set(inflight), timeout=wake, return_when=FIRST_COMPLETED)
-            broken: List[Tuple[int, BrokenProcessPool]] = []
-            for future in done:
-                index, _ = inflight.pop(future)
-                try:
-                    value = future.result()
-                except BrokenProcessPool as exc:
-                    broken.append((index, exc))
-                except Exception as exc:
-                    retry_or_raise(index, exc=exc)
-                else:
-                    results[index] = value
-                    suspects.discard(index)  # exonerated
-                    if on_result is not None:
-                        on_result(index, value)
-            if broken:
-                # A dead worker fails every in-flight future.  A break
-                # while an *isolated suspect* was in flight convicts that
-                # suspect — it is charged a retry attempt.  Everyone else
-                # is a victim: requeued without losing budget, but marked
-                # suspect so future dispatch isolates them one at a time
-                # until each is exonerated by a clean completion.
-                for index, exc in broken:
-                    if index in suspects:
-                        retry_or_raise(index, exc=exc,
-                                       reason="worker process died mid-task "
-                                              "(isolated re-run)")
-                    else:
-                        requeue_free(index)
-                        suspects.add(index)
-                rebuild_pool(mark_suspects=True)
-                continue
-            now = time.monotonic()
-            overdue = [
-                (future, index)
-                for future, (index, deadline) in inflight.items()
-                if deadline is not None and now >= deadline
-            ]
-            if overdue:
-                wedged = False
-                for future, index in overdue:
-                    del inflight[future]
-                    if not future.cancel():
-                        wedged = True  # already running → that worker is hung
-                    retry_or_raise(
-                        index, reason=f"attempt exceeded timeout of {timeout}s")
-                if wedged:
-                    rebuild_pool()
-        return results  # type: ignore[return-value]  # every slot filled
-    except BaseException:
-        failed = True
-        raise
-    finally:
-        _shutdown(pool, terminate=failed)
-
-
 def parallel_map(
     fn: Callable[..., T],
     tasks: Sequence[Tuple[Any, ...]],
@@ -304,26 +107,25 @@ def parallel_map(
     Parameters
     ----------
     timeout:
-        Wall-clock seconds allowed per attempt.  Overdue tasks count as
-        failed attempts; the wedged worker is abandoned and its pool
-        rebuilt.  Unenforceable in serial mode (``workers=1`` cannot
-        pre-empt itself) and therefore ignored there.
+        Wall-clock seconds allowed per attempt, counted from the moment a
+        worker picks the task up.  Overdue tasks count as failed
+        attempts; the wedged worker is SIGKILLed and the pool rebuilt.
+        Unenforceable in serial mode (``workers=1`` cannot pre-empt
+        itself) and therefore ignored there.
     retries:
-        Extra attempts after the first for a crashed, raising, or
-        timed-out task.  ``0`` preserves fail-fast semantics for tasks
-        that *raise*.  Worker crashes fail every task in flight on the
-        broken pool; a pool break never charges the retry budget
-        directly (crash victims always requeue free).  The tasks that
-        were in flight are instead re-dispatched one at a time, and only
-        a task whose isolated re-run breaks the pool again — the proven
-        crasher — is charged an attempt, so even ``retries=0`` survives
-        a one-off worker crash while a deterministic crasher still fails
-        after ``retries + 1`` isolated convictions.
+        Extra attempts after the first for a raising or timed-out task.
+        ``0`` preserves fail-fast semantics for tasks that *raise*.  A
+        worker crash fails every task in flight, but never charges this
+        budget: the tasks that were running are re-dispatched one at a
+        time, alone, and only a task whose isolated re-run crashes again
+        — the proven crasher — is convicted.  So even ``retries=0``
+        survives a one-off worker crash, while a deterministic crasher
+        fails after ``retries + 1`` isolated convictions.
     backoff:
         Delay schedule between attempts of one task
         (:data:`DEFAULT_POOL_BACKOFF` when None).
     on_result:
-        ``on_result(index, result)`` runs in the parent as each task
+        ``on_result(index, result)`` runs in the calling thread as each task
         completes — in *completion* order — for durable incremental
         persistence (see the results ledger).
 
@@ -346,6 +148,34 @@ def parallel_map(
         return []
     if n == 1 or len(tasks) <= 1:
         return _serial_map(fn, tasks, retries, schedule, on_result)
-    return _supervised_map(
-        fn, tasks, min(n, len(tasks)), timeout, retries, schedule, on_result
-    )
+
+    def make_error(task: Task, kind: str, exc: Optional[BaseException]) -> TaskError:
+        reason = {
+            "timeout": f"attempt exceeded timeout of {timeout}s",
+            "crashed": "worker process died mid-task (isolated re-run)",
+            "shutdown": "pool shut down before completion",
+        }.get(kind)
+        error = _task_error(task.key, task.args, task.failures + task.crashes,
+                            exc, reason)
+        error.__cause__ = exc
+        return error
+
+    supervisor = Supervisor(
+        fn, multiprocessing.get_context("fork"), min(n, len(tasks)),
+        make_error=make_error, deadline=timeout, retries=retries,
+        quarantine_after=retries + 1, backoff=schedule)
+    for index, task in enumerate(tasks):
+        supervisor.submit(index, task)
+    results: List[Any] = [None] * len(tasks)
+    failed = True
+    try:
+        while supervisor.active():
+            for done in supervisor.step():
+                value = done.future.result()  # a failed task raises TaskError
+                results[done.key] = value
+                if on_result is not None:
+                    on_result(done.key, value)
+        failed = False
+    finally:
+        supervisor.close(terminate=failed)
+    return results

@@ -1,12 +1,15 @@
 """Shared exponential-backoff schedule.
 
-Two retry loops in this codebase damp themselves the same way: the
+Four retry loops in this codebase damp themselves the same way: the
 simulated :class:`~repro.resilience.retry.RetryPolicy` spaces out requeues
-of fault-killed jobs (simulated seconds), and the supervised worker pool
-(:mod:`repro.parallel.pool`) spaces out re-dispatch of crashed or hung
-grid tasks (wall-clock seconds).  :class:`BackoffPolicy` is the one
-schedule both consume — ``delay(attempt)`` grows geometrically from
-``initial`` by ``factor`` per extra attempt, clamped at ``max_delay``.
+of fault-killed jobs (simulated seconds); the supervised process pool
+(:mod:`repro.parallel.supervisor`) spaces out re-dispatch of failed or
+hung grid cells and, in the daemon, of service requests (wall-clock
+seconds, plus hashed jitter); and the service client's
+:class:`~repro.service.client.ClientRetryPolicy` spaces out transport
+retries (full jitter).  :class:`BackoffPolicy` is the one schedule all
+four consume — ``delay(attempt)`` grows geometrically from ``initial``
+by ``factor`` per extra attempt, clamped at ``max_delay``.
 """
 
 from __future__ import annotations

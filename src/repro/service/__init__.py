@@ -8,11 +8,13 @@ runs them through a hardened execution core:
   repo's own base-scheduler priority policies (FCFS/WFP), shedding work
   with a 429-style error past a high-water mark and degrading gracefully
   (smaller GA budgets, tighter watchdogs) as pressure builds;
-* **a self-healing worker pool** (:mod:`.pool`) — per-request deadlines,
-  heartbeat-based hang detection, SIGKILL of wedged workers, pool
-  rebuilds that requeue crash victims for free, exponential backoff with
-  deterministic jitter, and quarantine of poison requests that keep
-  crashing their workers;
+* **a self-healing worker pool** (:mod:`.pool`) — the daemon's adapter
+  to the supervisor the grid uses too (:mod:`repro.parallel.supervisor`):
+  per-request deadlines, heartbeat-based hang detection, SIGKILL of
+  wedged workers, pool rebuilds that requeue crash victims for free,
+  exponential backoff with deterministic jitter, quarantine of poison
+  requests that keep crashing their workers, and workers that exit when
+  the daemon dies;
 * **a durable request lifecycle** (:mod:`.journal`) — every request is
   journaled ``accepted → running → done/failed/quarantined/cancelled``
   on the crash-safe JSONL substrate shared with the results ledger, so a

@@ -84,7 +84,6 @@ class ServiceConfig:
     quarantine_after: int = 2
     allow_chaos: bool = False
     degrade: bool = True
-    poll_interval: float = 0.02
     #: also listen on TCP ``host:port`` ("127.0.0.1:0" picks a free port).
     tcp: Optional[str] = None
     #: concurrent-connection ceiling across both listeners.
@@ -114,7 +113,6 @@ class ServiceDaemon:
                 retries=config.retries,
                 quarantine_after=config.quarantine_after,
                 allow_chaos=config.allow_chaos,
-                poll_interval=config.poll_interval,
             ),
             metrics=self.metrics,
             on_dispatch=self._on_dispatch,

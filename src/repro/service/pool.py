@@ -1,57 +1,28 @@
 """Self-healing worker pool for the simulation service.
 
-A :class:`ServicePool` owns a :class:`~concurrent.futures.ProcessPoolExecutor`
-plus a supervisor thread that keeps it healthy no matter what the
-requests do to it:
-
-* **heartbeat claims** — each request's first act on a worker is to put
-  a ``(request_id, pid, t)`` claim on a shared queue
-  (:func:`repro.service.tasks.pool_initializer`).  The claim tells the
-  supervisor exactly which pid owns which request, arming the
-  per-request **deadline**: a claimed request still unfinished after
-  ``deadline`` seconds has a wedged worker, and the supervisor SIGKILLs
-  that pid — turning an invisible hang into an observable pool break.
-* **pool breaks never charge the retry budget** — a dead worker fails
-  every future in flight (``BrokenProcessPool``), and at that instant
-  the crasher is indistinguishable from its co-resident victims.  The
-  pool applies the same suspect-isolation protocol as
-  :func:`repro.parallel.parallel_map`: everyone in flight is requeued
-  for free and marked *suspect*; suspects are re-dispatched at most one
-  at a time; a clean completion exonerates, while a break during an
-  isolated run convicts.  Convictions count toward **quarantine**
-  (``quarantine_after``), terminating poison requests with
-  :class:`~repro.errors.PoisonRequestError` instead of letting them
-  break the pool forever.
-* **backoff with deterministic jitter** — re-dispatches are damped by
-  the shared :class:`~repro.resilience.BackoffPolicy`; the jitter term
-  is a hash of ``(request_id, attempt)``, not a live RNG, so a chaos
-  run's retry timeline is reproducible run over run.
-
-Failure taxonomy (also in ``docs/service.md``): an *exception* or a
-*deadline kill* charges one attempt of the ``retries`` budget; a *crash*
-charges the quarantine budget instead.  Both budgets are per-request, so
-one pathological request can never starve its neighbours.
+:class:`ServicePool` is the daemon's adapter to the shared
+:class:`~repro.parallel.supervisor.Supervisor`: it runs
+:func:`~repro.service.tasks.execute_request` on forkserver workers,
+steps the supervisor on its own thread so the event loop never blocks,
+and maps each way a request can fail to an HTTP-style error — 500 after
+``retries`` exceptions, 408 after ``retries`` deadline kills,
+:class:`~repro.errors.PoisonRequestError` after ``quarantine_after``
+crash convictions (see ``docs/service.md``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
-import os
-import signal
 import threading
-import time
-from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..errors import PoisonRequestError, ServiceError
-from ..parallel.pool import DEFAULT_POOL_BACKOFF, _shutdown
+from ..parallel.supervisor import DEFAULT_POOL_BACKOFF, Supervisor, Task
 from ..resilience import BackoffPolicy
 from ..telemetry import MetricsRegistry
-from .tasks import execute_request, pool_initializer
+from .tasks import execute_request
 
 
 @dataclass
@@ -67,37 +38,21 @@ class PoolConfig:
     #: isolated-crash convictions before a request is quarantined.
     quarantine_after: int = 2
     backoff: BackoffPolicy = field(default_factory=lambda: DEFAULT_POOL_BACKOFF)
-    #: jitter fraction applied to each backoff delay (deterministic,
-    #: hashed from request id + attempt — never a live RNG).
-    jitter: float = 0.25
-    #: supervisor tick period (completion/heartbeat/deadline polling).
-    poll_interval: float = 0.02
     #: honour chaos directives carried by requests (tests/harness only).
     allow_chaos: bool = False
-
-
-def deterministic_jitter(request_id: str, attempt: int) -> float:
-    """A stable uniform in [0, 1) keyed by (request, attempt)."""
-    digest = hashlib.sha256(f"{request_id}:{attempt}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
 
 
 def _worker_context():
     """A multiprocessing context whose workers inherit no daemon fds.
 
-    A plain ``fork()``-ed worker inherits every open file descriptor,
-    including *accepted client connections*: the daemon closing its
-    copy of a socket then never delivers EOF, because the worker's
-    inherited copy keeps the connection established — a client the io
-    deadline "disconnected" observes a connection held open for the
-    worker's lifetime.  Workers are (re)spawned lazily and after
-    crash-replacement, so this races with whatever connections happen
-    to be open at that moment.
-
-    The *forkserver* start method forks workers from a clean server
-    process instead, started (see :meth:`ServicePool.start`) before the
-    daemon opens any listener.  Preloading the task module keeps a
-    respawn near ``fork()`` cost.
+    A ``fork()``-ed worker inherits every open fd, including accepted
+    client connections, and (re)spawns race with whatever connections
+    are open at that moment: the daemon closing its copy of a socket then
+    never delivers EOF, because the worker's copy keeps it established.
+    The *forkserver* forks workers from a clean server process instead,
+    started (see :meth:`ServicePool.start`) before the daemon opens any
+    listener; preloading the task module keeps a respawn near ``fork()``
+    cost.
     """
     try:
         ctx = multiprocessing.get_context("forkserver")
@@ -107,34 +62,23 @@ def _worker_context():
     return ctx
 
 
-def _ensure_forkserver_running(ctx) -> None:
-    """Start the fork server now, while no connections exist yet."""
-    if ctx.get_start_method() != "forkserver":  # pragma: no cover
-        return
-    from multiprocessing import forkserver
-
-    forkserver.ensure_running()
-
-
-@dataclass
-class _RequestState:
-    request_id: str
-    params: Dict[str, Any]
-    future: Future               #: resolved exactly once with the outcome
-    attempts: int = 0            #: charged dispatches (retry budget)
-    dispatches: int = 0          #: total dispatches, never refunded — the
-                                 #: attempt ordinal workers and the journal
-                                 #: see (chaos directives key off it, so a
-                                 #: free crash requeue still advances it)
-    crashes: int = 0             #: isolated-crash convictions (quarantine budget)
-    suspect: bool = False        #: was in flight during an unattributed break
-    hung: bool = False           #: its worker was SIGKILLed by the deadline
-    cancelled: bool = False      #: withdrawal requested; resolve 409, not retry
-    ready_at: float = 0.0        #: earliest next dispatch (monotonic)
-    inner: Optional[Future] = None
-    claim_pid: Optional[int] = None
-    claim_t: Optional[float] = None
-    started_t: Optional[float] = None
+def _request_error(task: Task, kind: str,
+                   exc: Optional[BaseException]) -> ServiceError:
+    rid = task.key
+    if kind == "crashed":
+        return PoisonRequestError(
+            f"request {rid} quarantined after {task.crashes} isolated "
+            f"worker crash(es)", crashes=task.crashes)
+    if kind == "cancelled":
+        return ServiceError(f"request {rid} cancelled", code=409)
+    if kind == "shutdown":
+        return ServiceError("pool shut down before completion", code=503)
+    what, code = (("exceeded its deadline", 408) if kind == "timeout"
+                  else ("failed", 500))
+    error = ServiceError(f"request {rid} {what} after {task.failures} "
+                         f"attempt(s): {exc}", code=code)
+    error.attempts = task.failures  # type: ignore[attr-defined]
+    return error
 
 
 class ServicePool:
@@ -148,30 +92,29 @@ class ServicePool:
     ) -> None:
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: called (request_id, attempt) from the supervisor thread right
-        #: before each dispatch — the daemon journals ``running`` here.
-        self.on_dispatch = on_dispatch
         self._ctx = _worker_context()
-        self._heartbeat = self._ctx.SimpleQueue()
-        self._intake: deque = deque()
-        self._lock = threading.Lock()
+        #: ``on_dispatch(request_id, attempt)`` runs on the supervisor
+        #: thread right before each dispatch — the daemon journals
+        #: ``running`` there.
+        self._supervisor = Supervisor(
+            execute_request, self._ctx, config.workers,
+            make_error=_request_error,
+            deadline=config.deadline, retries=config.retries,
+            quarantine_after=config.quarantine_after, backoff=config.backoff,
+            metrics=self.metrics,
+            on_dispatch=on_dispatch)
         self._stop = threading.Event()
         self._drain = threading.Event()  #: finish queued work, then stop
         self._thread: Optional[threading.Thread] = None
-        self._executor: Optional[ProcessPoolExecutor] = None
-        # Supervisor-owned state (touched only by the supervisor thread
-        # after start(), except for the active() snapshot below).
-        self._waiting: List[_RequestState] = []
-        self._inflight: Dict[str, _RequestState] = {}
-        self._active = 0  #: lock-protected mirror for active()
-        self._cancels: set = set()  #: lock-protected cancel requests
 
-    # --- public API (any thread) -------------------------------------------------
     def start(self) -> None:
         if self._thread is not None:
             return
-        _ensure_forkserver_running(self._ctx)
-        self._executor = self._make_executor()
+        if self._ctx.get_start_method() == "forkserver":
+            # Start the fork server now, while no connections exist yet.
+            from multiprocessing import forkserver
+
+            forkserver.ensure_running()
         self._thread = threading.Thread(
             target=self._supervise, name="service-pool-supervisor", daemon=True)
         self._thread.start()
@@ -180,30 +123,19 @@ class ServicePool:
         """Queue a request for execution; resolves with its outcome."""
         if self._stop.is_set() or self._drain.is_set():
             raise ServiceError("pool is shutting down", code=503)
-        future: Future = Future()
-        state = _RequestState(request_id, params, future)
-        with self._lock:
-            self._intake.append(state)
-            self._active += 1
-        return future
+        return self._supervisor.submit(
+            request_id, (request_id, params, self.config.allow_chaos))
 
     def active(self) -> int:
         """Requests inside the pool (queued, retrying, or in flight)."""
-        with self._lock:
-            return self._active
+        return self._supervisor.active()
 
     def cancel(self, request_id: str) -> None:
-        """Withdraw a request from the pool (any thread; best-effort).
+        """Withdraw a request (any thread; best-effort, resolves 409).
 
-        Waiting/backing-off requests resolve with a 409
-        :class:`ServiceError` at the next supervisor tick; an in-flight
-        request has its claimed worker SIGKILLed and resolves 409 from
-        the break handler instead of being requeued.  A request that
-        completes before the tick keeps its result — cancellation can
-        lose to the race, never corrupt it.
+        See :meth:`~repro.parallel.supervisor.Supervisor.cancel`.
         """
-        with self._lock:
-            self._cancels.add(request_id)
+        self._supervisor.cancel(request_id)
 
     def shutdown(self, wait: bool = True, timeout: Optional[float] = None) -> None:
         """Stop the pool; ``wait`` drains outstanding work first."""
@@ -211,253 +143,18 @@ class ServicePool:
             return
         if wait:
             self._drain.set()
+            self._supervisor.wake()
             self._thread.join(timeout)
         self._stop.set()
+        self._supervisor.wake()
         self._thread.join(5.0)
 
-    # --- supervisor internals (supervisor thread only) ---------------------------
-    def _make_executor(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.config.workers,
-            mp_context=self._ctx,
-            initializer=pool_initializer,
-            initargs=(self._heartbeat,),
-        )
-
-    def _decrement_active(self) -> None:
-        with self._lock:
-            self._active -= 1
-
-    def _delay(self, state: _RequestState, attempt: int) -> float:
-        base = self.config.backoff.delay(max(attempt, 1))
-        return base * (1.0 + self.config.jitter
-                       * deterministic_jitter(state.request_id, attempt))
-
-    def _dispatch(self, now: float) -> None:
-        executor = self._executor
-        assert executor is not None
-        suspect_flying = any(s.suspect for s in self._inflight.values())
-        held: List[_RequestState] = []
-        ready = [s for s in self._waiting if s.ready_at <= now]
-        for state in ready:
-            if len(self._inflight) >= self.config.workers:
-                break
-            if state.suspect and suspect_flying:
-                held.append(state)
-                continue
-            self._waiting.remove(state)
-            state.attempts += 1
-            state.dispatches += 1
-            state.hung = False
-            state.claim_pid = state.claim_t = None
-            state.started_t = time.monotonic()
-            if self.on_dispatch is not None:
-                try:
-                    self.on_dispatch(state.request_id, state.dispatches)
-                except Exception:  # pragma: no cover - journal I/O failure
-                    pass
-            try:
-                state.inner = executor.submit(
-                    execute_request, state.request_id, state.params,
-                    state.dispatches, self.config.allow_chaos)
-            except BrokenProcessPool:
-                # A worker died while the pool sat idle; undo this
-                # dispatch and let the break handler rebuild first.
-                state.attempts -= 1
-                state.dispatches -= 1
-                state.ready_at = now
-                self._waiting.append(state)
-                self._handle_break()
-                return
-            self._inflight[state.request_id] = state
-            if state.suspect:
-                suspect_flying = True
-
-    def _drain_heartbeats(self) -> None:
-        try:
-            while not self._heartbeat.empty():
-                request_id, pid, t = self._heartbeat.get()
-                state = self._inflight.get(request_id)
-                if state is not None:
-                    state.claim_pid, state.claim_t = pid, t
-        except Exception:  # pragma: no cover - queue torn by a worker kill
-            pass
-
-    def _complete(self, state: _RequestState, value: Any) -> None:
-        state.suspect = False
-        if state.started_t is not None:
-            self.metrics.observe(
-                "service.run_seconds", time.monotonic() - state.started_t)
-        self.metrics.inc("service.completed")
-        self._decrement_active()
-        state.future.set_result(value)
-
-    def _fail(self, state: _RequestState, error: ServiceError) -> None:
-        error.attempts = state.attempts  # type: ignore[attr-defined]
-        self.metrics.inc("service.failed")
-        self._decrement_active()
-        state.future.set_exception(error)
-
-    def _cancel_now(self, state: _RequestState) -> None:
-        """Resolve a withdrawn request with 409, charging no budgets."""
-        self.metrics.inc("service.cancelled")
-        self._decrement_active()
-        state.future.set_exception(ServiceError(
-            f"request {state.request_id} cancelled", code=409))
-
-    def _process_cancels(self) -> None:
-        """Apply cancel() requests (after intake has been merged)."""
-        with self._lock:
-            if not self._cancels:
-                return
-            cancels, self._cancels = self._cancels, set()
-        for request_id in cancels:
-            state = next((s for s in self._waiting
-                          if s.request_id == request_id), None)
-            if state is not None:
-                self._waiting.remove(state)
-                self._cancel_now(state)
-                continue
-            state = self._inflight.get(request_id)
-            if state is not None:
-                # Killed via its heartbeat claim; resolved 409 by the
-                # break handler.  Unknown ids are dropped: the request
-                # either never reached the pool or already finished.
-                state.cancelled = True
-
-    def _kill_cancelled(self) -> None:
-        """SIGKILL claimed workers of cancelled in-flight requests.
-
-        Runs every tick, so a cancel that arrived before the worker's
-        heartbeat claim still lands once the claim does.
-        """
-        for state in self._inflight.values():
-            if state.cancelled and state.claim_pid is not None:
-                try:
-                    os.kill(state.claim_pid, signal.SIGKILL)
-                except (ProcessLookupError, TypeError):  # pragma: no cover
-                    pass
-
-    def _requeue(self, state: _RequestState, delay: float) -> None:
-        state.inner = None
-        state.claim_pid = state.claim_t = None
-        state.ready_at = time.monotonic() + delay
-        self._waiting.append(state)
-
-    def _charge_failure(self, state: _RequestState, exc: BaseException,
-                        code: int, what: str) -> None:
-        """An attempt failed for a *charged* reason (raise or hang)."""
-        if state.attempts > self.config.retries:
-            self._fail(state, ServiceError(
-                f"request {state.request_id} {what} after "
-                f"{state.attempts} attempt(s): {exc}", code=code))
-            return
-        self.metrics.inc("service.retries")
-        self._requeue(state, self._delay(state, state.attempts))
-
-    def _handle_break(self) -> None:
-        """Classify every in-flight request after a pool break, rebuild."""
-        self.metrics.inc("service.pool_rebuilds")
-        for state in list(self._inflight.values()):
-            del self._inflight[state.request_id]
-            if state.inner is not None:
-                state.inner.cancel()
-            if state.cancelled:
-                # We killed its worker on request; the withdrawal wins
-                # over every other classification and charges nothing.
-                self._cancel_now(state)
-            elif state.hung:
-                # We killed its worker at the deadline: a charged timeout.
-                self.metrics.inc("service.hangs")
-                self._charge_failure(
-                    state, TimeoutError(
-                        f"no result within the {self.config.deadline}s deadline"),
-                    code=408, what="exceeded its deadline")
-            elif state.suspect:
-                # It broke the pool while running in isolation: convicted.
-                state.attempts -= 1  # crashes charge quarantine, not retries
-                state.crashes += 1
-                self.metrics.inc("service.crashes")
-                if state.crashes >= self.config.quarantine_after:
-                    self.metrics.inc("service.quarantined")
-                    self._decrement_active()
-                    state.future.set_exception(PoisonRequestError(
-                        f"request {state.request_id} quarantined after "
-                        f"{state.crashes} isolated worker crash(es)",
-                        crashes=state.crashes))
-                else:
-                    self._requeue(state, self._delay(state, state.crashes))
-            else:
-                # A victim of someone else's crash: free requeue, but
-                # isolate it until a clean completion exonerates it.
-                state.attempts -= 1
-                state.suspect = True
-                self._requeue(state, 0.0)
-        assert self._executor is not None
-        _shutdown(self._executor, terminate=True)
-        self._executor = self._make_executor()
-
-    def _check_deadlines(self, now: float) -> None:
-        deadline = self.config.deadline
-        if deadline is None:
-            return
-        for state in self._inflight.values():
-            if state.hung or state.claim_t is None:
-                continue
-            if now - state.claim_t > deadline:
-                state.hung = True
-                try:
-                    os.kill(state.claim_pid, signal.SIGKILL)
-                except (ProcessLookupError, TypeError):  # pragma: no cover
-                    pass  # worker already gone; the break still surfaces
-
     def _supervise(self) -> None:
-        while True:
-            if self._stop.is_set():
-                break
-            with self._lock:
-                while self._intake:
-                    self._waiting.append(self._intake.popleft())
-            if (self._drain.is_set() and not self._waiting
-                    and not self._inflight):
-                break
-            self._process_cancels()
-            now = time.monotonic()
-            self._dispatch(now)
-            self._drain_heartbeats()
-            self._kill_cancelled()
-            broke = False
-            for state in list(self._inflight.values()):
-                inner = state.inner
-                if inner is None or not inner.done():
-                    continue
-                try:
-                    value = inner.result()
-                except BrokenProcessPool:
-                    broke = True
+        try:
+            while not self._stop.is_set():
+                if self._drain.is_set() and not self._supervisor.active():
                     break
-                except Exception as exc:
-                    del self._inflight[state.request_id]
-                    self._charge_failure(state, exc, code=500, what="failed")
-                else:
-                    del self._inflight[state.request_id]
-                    self._complete(state, value)
-            if broke:
-                self._handle_break()
-                continue
-            self._check_deadlines(time.monotonic())
-            self.metrics.set_gauge("service.inflight", len(self._inflight))
-            time.sleep(self.config.poll_interval)
-        # Stopped: refuse whatever is still outstanding.
-        with self._lock:
-            while self._intake:
-                self._waiting.append(self._intake.popleft())
-        for state in self._waiting + list(self._inflight.values()):
-            if not state.future.done():
-                self._decrement_active()
-                state.future.set_exception(
-                    ServiceError("pool shut down before completion", code=503))
-        self._waiting.clear()
-        self._inflight.clear()
-        if self._executor is not None:
-            _shutdown(self._executor, terminate=True)
+                self._supervisor.step()
+        finally:
+            # Stopped: refuse whatever is still outstanding with a 503.
+            self._supervisor.close()

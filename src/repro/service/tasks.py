@@ -4,21 +4,16 @@ These functions run inside the pool's worker processes.  The module is
 deliberately tiny and import-safe: it is pickled by name into workers,
 so it must not drag the daemon's asyncio machinery along.
 
-Two responsibilities live here:
-
-* **heartbeat claims** — the pool passes its heartbeat queue through the
-  executor's initializer; the very first thing a request does on a
-  worker is put a ``(request_id, pid, monotonic_time)`` claim on it.
-  That claim is what arms the supervisor's per-request deadline: a
-  claimed request that neither finishes nor fails within its deadline
-  has a wedged worker, and the supervisor SIGKILLs that exact pid.
-* **deterministic chaos** — a request may carry a chaos directive
-  (``crash_attempts``/``hang_attempts``/``hang_seconds``).  It is only
-  honoured when the daemon was started with ``allow_chaos`` (the flag is
-  baked into the worker dispatch, not read from the environment), and it
-  keys off the *attempt number*, so "crash the worker on attempt 1, then
-  succeed" replays identically every run — the property the chaos
-  harness's exactly-once assertions rest on.
+A request may carry a **deterministic chaos** directive
+(``crash_attempts``/``hang_attempts``/``hang_seconds``).  It is only
+honoured when the daemon was started with ``allow_chaos`` (the flag is
+baked into the worker dispatch, not read from the environment), and it
+keys off the *dispatch ordinal* the supervisor hands the worker, so
+"crash the worker on attempt 1, then succeed" replays identically every
+run — the property the chaos harness's exactly-once assertions rest on.
+The heartbeat claim that arms the per-request deadline is made by the
+supervisor's trampoline before :func:`execute_request` starts (see
+:mod:`repro.parallel.supervisor`).
 """
 
 from __future__ import annotations
@@ -32,9 +27,7 @@ from ..experiments.config import get_scale
 from ..experiments.grid import cell_seed
 from ..experiments.runner import RunResult, run_one
 from ..experiments.workloads import get_workload
-
-#: Heartbeat queue installed by the pool's initializer (worker side).
-_HEARTBEAT = None
+from ..parallel.supervisor import current_dispatch
 
 #: Worker-local cache of attached shared-memory traces (name → Trace).
 _SHM_TRACES: Dict[str, Any] = {}
@@ -44,38 +37,6 @@ _SHM_TRACES: Dict[str, Any] = {}
 #: verifies segments and bumps ``service.shm_corrupt``); this counter
 #: exists so tests can observe the worker's degrade path directly.
 _SHM_FALLBACKS = 0
-
-
-def pool_initializer(heartbeat) -> None:
-    """Executor initializer: stash the claim queue for this worker.
-
-    Also undoes the daemon's signal plumbing.  Fork-context workers
-    inherit asyncio's ``add_signal_handler`` state — a Python-level
-    handler *and* the wakeup fd, which is the parent loop's own
-    socketpair.  Left in place, a SIGTERM delivered to a worker (e.g.
-    the pool terminating a survivor during a rebuild) would be written
-    into the shared wakeup fd and dispatched as a shutdown request *in
-    the daemon*, while the worker itself shrugged it off.  Workers must
-    therefore drop the wakeup fd and restore default dispositions
-    before doing anything else.
-    """
-    try:
-        signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(sig, signal.SIG_DFL)
-        except (ValueError, OSError):  # pragma: no cover
-            pass
-    global _HEARTBEAT
-    _HEARTBEAT = heartbeat
-
-
-def _claim(request_id: str) -> None:
-    """Tell the supervisor this pid now owns ``request_id``."""
-    if _HEARTBEAT is not None:
-        _HEARTBEAT.put((request_id, os.getpid(), time.monotonic()))
 
 
 def apply_chaos(chaos: Optional[Dict[str, Any]], attempt: int) -> None:
@@ -125,13 +86,11 @@ def _resolve_trace(workload: str, scale, shm_name: Optional[str]):
 def execute_request(
     request_id: str,
     params: Dict[str, Any],
-    attempt: int,
     allow_chaos: bool = False,
 ) -> RunResult:
     """Run one simulation request to completion on this worker."""
-    _claim(request_id)
     if allow_chaos:
-        apply_chaos(params.get("chaos"), attempt)
+        apply_chaos(params.get("chaos"), current_dispatch())
     scale = get_scale(params.get("scale"))
     workload = params["workload"]
     method = params["method"]

@@ -19,7 +19,7 @@ from repro.service import (
     validate_request,
 )
 from repro.service.journal import KIND_DONE
-from repro.service.pool import deterministic_jitter
+from repro.parallel.supervisor import deterministic_jitter
 from repro.service.queue import make_policy
 
 SMOKE = {"workload": "Cori-S1", "method": "Baseline", "scale": "smoke"}
