@@ -135,7 +135,7 @@ def _run_sharded(n_shards, requests, workdir, scale_name, kill_recover):
     plan = NetworkChaosPlan(
         seed=0, requests=requests, shards=n_shards, scale=scale_name,
         workers=2, shard_kills=0, blackholes=0, slow_loris=0,
-        torn_frames=0, corrupt_shm=False, high_water=max(512, 4 * requests),
+        torn_frames=0, high_water=max(512, 4 * requests),
         client_timeout=30.0, timeout=900.0)
     harness = NetworkChaosHarness(plan, workdir=str(workdir))
     workloads = list(plan.workloads)

@@ -424,7 +424,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_connections=args.max_connections,
         io_deadline=args.io_deadline,
         shard=args.shard,
-        shm_traces=args.shm_traces,
     )
     daemon = ServiceDaemon(config)
 
@@ -488,8 +487,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if args.shards:
         router = ShardRouter(
             [e for e in args.shards.split(",") if e],
-            timeout=args.connect_timeout, retry=retry,
-            hedge_delay=args.hedge)
+            timeout=args.connect_timeout, retry=retry)
         routed = router.submit(**params)
         extra = ("deduped" if routed.deduped else
                  "adopted" if routed.adopted else
@@ -502,7 +500,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         rid = routed.request_id
     else:
         client = ServiceClient(args.socket, timeout=args.connect_timeout,
-                               retry=retry, hedge_delay=args.hedge)
+                               retry=retry)
         accepted = client.submit(**params)
         rid = accepted["id"]
         if accepted.get("deduped"):
@@ -714,10 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "connection (slow-loris guard)")
     p_serve.add_argument("--shard", default=None, metavar="I/N",
                          help="shard identity echoed by ping/stats, e.g. 0/4")
-    p_serve.add_argument("--shm-traces", action="store_true",
-                         help="publish trace columns to checksummed shared "
-                              "memory; workers attach zero-copy instead of "
-                              "regenerating")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_submit = sub.add_parser(
@@ -736,11 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="total client attempts for transient "
                                "transport failures (default 4)")
-    p_submit.add_argument("--hedge", type=float, default=None,
-                          metavar="SECONDS",
-                          help="hedge idempotent reads: duplicate a status/"
-                               "wait that is slower than this, first answer "
-                               "wins")
     p_submit.add_argument("--scale", default=None, choices=sorted(exp.SCALES))
     p_submit.add_argument("--seed", type=int, default=None)
     p_submit.add_argument("--generations", type=int, default=None,

@@ -49,8 +49,6 @@ class BBSchedSelector(Selector):
     eval_cache:
         Memoize GA objective evaluations (byte-identical results, see
         :mod:`repro.core.evalcache`); ``False`` is the reference path.
-    fast_repair:
-        Opt into the vectorized (RNG-order-changing) repair mode.
     solver:
         A :class:`WindowSolver` instance, a registry name
         (``"ga"``, ``"scalar"``, ``"milp"``, ``"exhaustive"``), or ``None``
@@ -73,7 +71,6 @@ class BBSchedSelector(Selector):
         decision: Optional[DecisionRule] = None,
         seed: SeedLike = None,
         eval_cache: bool = True,
-        fast_repair: bool = False,
         solver: Union[WindowSolver, str, None] = None,
         yardstick: Optional[OptimalityYardstick] = None,
     ) -> None:
@@ -85,7 +82,6 @@ class BBSchedSelector(Selector):
                 mutation=mutation,
                 selection=selection,
                 eval_cache=eval_cache,
-                fast_repair=fast_repair,
             )
         elif isinstance(solver, str):
             from ..solvers.registry import make_window_solver
@@ -97,7 +93,6 @@ class BBSchedSelector(Selector):
                 mutation=mutation,
                 selection=selection,
                 eval_cache=eval_cache,
-                fast_repair=fast_repair,
             )
         self.solver: WindowSolver = solver
         self.decision = decision

@@ -128,11 +128,6 @@ class MOGASolver:
         CLI's ``--no-eval-cache`` escape hatch).
     cache_capacity:
         Bound on distinct chromosomes the cache retains per solve.
-    fast_repair:
-        Use the vectorized repair mode (``repair(..., fast=True)``) inside
-        the evolve loop.  Draws the RNG in a different order than the
-        reference repair, so it changes (still deterministic) results —
-        default off.
     """
 
     def __init__(
@@ -145,7 +140,6 @@ class MOGASolver:
         seed: SeedLike = None,
         eval_cache: bool = True,
         cache_capacity: int = DEFAULT_EVAL_CACHE_CAPACITY,
-        fast_repair: bool = False,
     ) -> None:
         if generations < 0:
             raise SolverError(f"generations must be >= 0, got {generations}")
@@ -165,7 +159,6 @@ class MOGASolver:
         self._seed = seed
         self.eval_cache = eval_cache
         self.cache_capacity = cache_capacity
-        self.fast_repair = fast_repair
         #: Lazily built per-solver :class:`EvaluationCache`; dropped on
         #: pickling (checkpoint snapshots) and rebuilt on first solve.
         self._cache: Optional[EvaluationCache] = None
@@ -176,7 +169,8 @@ class MOGASolver:
     # tests/test_differential.py's resume cycle).  Its counters go with it
     # — they are wall-clock-class observability, deliberately outside the
     # run fingerprint.  ``__setstate__`` defaults the newer attributes so
-    # snapshots written before the cache existed still load.
+    # snapshots written before the cache existed still load, and drops the
+    # removed ``fast_repair`` knob that older snapshots still carry.
     def __getstate__(self) -> Dict:
         state = self.__dict__.copy()
         state["_cache"] = None
@@ -185,7 +179,7 @@ class MOGASolver:
     def __setstate__(self, state: Dict) -> None:
         state.setdefault("eval_cache", True)
         state.setdefault("cache_capacity", DEFAULT_EVAL_CACHE_CAPACITY)
-        state.setdefault("fast_repair", False)
+        state.pop("fast_repair", None)
         state.setdefault("_cache", None)
         self.__dict__.update(state)
 
@@ -352,9 +346,7 @@ class MOGASolver:
         # to repair as a hint skips both of repair's own full checks.
         hint = np.ones(len(keys), dtype=bool)
         hint[unknown] = ok
-        children = problem.repair(
-            children, rng, fast=self.fast_repair, feasible_hint=hint
-        )
+        children = problem.repair(children, rng, feasible_hint=hint)
         return children, chromosome_keys(children)
 
     def _evolve_once(
@@ -380,7 +372,7 @@ class MOGASolver:
         if forced:
             children[:, forced] = 1
         if cache is None:
-            children = problem.repair(children, rng, fast=self.fast_repair)
+            children = problem.repair(children, rng)
             pool_keys = None
         else:
             children, child_keys = self._repair_known(problem, children, rng, cache)
@@ -428,7 +420,6 @@ class MOGASolver:
             generations=self.generations,
             population=self.population,
             eval_cache=cache is not None,
-            repair_vectorized=self.fast_repair,
         ) as solve_span:
             genes = problem.random_population(self.population, rng)
             forced = list(problem.forced)

@@ -76,7 +76,6 @@ class MOOProblem(abc.ABC):
         population: np.ndarray,
         seed: SeedLike = None,
         *,
-        fast: bool = False,
         feasible_hint: "np.ndarray | None" = None,
     ) -> np.ndarray:
         """Return a feasible copy of ``population``.
@@ -89,15 +88,6 @@ class MOOProblem(abc.ABC):
         (clearing genes never breaks an untouched row), which preserves the
         historical RNG draw order exactly while skipping most of the
         feasibility work.
-
-        ``fast=True`` switches to a vectorized clearing step: one uniform
-        draw per infeasible row per round instead of one ``rng.choice`` per
-        row.  It consumes the RNG in a different order, so its output is
-        *not* byte-identical to the default mode — its equivalence class
-        (feasible output, forced genes intact, genes only ever cleared,
-        deterministic per seed) is pinned separately by the property tests.
-        It is therefore default-off and opt-in via
-        ``MOGASolver(fast_repair=True)``.
 
         ``feasible_hint`` (trusted, internal) is a per-row feasibility
         vector the caller already computed — the GA's evaluation cache
@@ -132,52 +122,23 @@ class MOOProblem(abc.ABC):
         )
         guard = 0
         while bad_idx.size:
-            if fast:
-                self._clear_one_gene_vectorized(pop, bad_idx, forced_mask, rng)
-            else:
-                for i in bad_idx:
-                    clearable = np.flatnonzero((pop[i] == 1) & ~forced_mask)
-                    if clearable.size == 0:
-                        raise SolverError(
-                            "cannot repair chromosome: forced genes alone are infeasible"
-                        )
-                    # Same draw (value and stream) as ``rng.choice(clearable)``
-                    # — Generator.choice reduces to exactly this int64 draw —
-                    # minus choice's per-call overhead.
-                    pick = rng.integers(0, clearable.size, dtype=np.int64)
-                    pop[i, clearable[pick]] = 0
+            for i in bad_idx:
+                clearable = np.flatnonzero((pop[i] == 1) & ~forced_mask)
+                if clearable.size == 0:
+                    raise SolverError(
+                        "cannot repair chromosome: forced genes alone are infeasible"
+                    )
+                # Same draw (value and stream) as ``rng.choice(clearable)``
+                # — Generator.choice reduces to exactly this int64 draw —
+                # minus choice's per-call overhead.
+                pick = rng.integers(0, clearable.size, dtype=np.int64)
+                pop[i, clearable[pick]] = 0
             still_bad = ~self.feasible(np.ascontiguousarray(pop[bad_idx]))
             bad_idx = bad_idx[still_bad]
             guard += 1
             if guard > self.w + 1:  # pragma: no cover - defensive
                 raise SolverError("repair failed to converge")
         return pop
-
-    @staticmethod
-    def _clear_one_gene_vectorized(
-        pop: np.ndarray,
-        bad_idx: np.ndarray,
-        forced_mask: np.ndarray,
-        rng: np.random.Generator,
-    ) -> None:
-        """Clear one random non-forced selected gene in every ``bad_idx`` row.
-
-        The per-row choice is uniform over that row's clearable genes —
-        the same distribution as the scalar loop — realised as one batched
-        draw: pick the ``k``-th set bit per row via a cumulative count.
-        """
-        clearable = (pop[bad_idx] == 1) & ~forced_mask  # (b, w)
-        counts = clearable.sum(axis=1)
-        if (counts == 0).any():
-            raise SolverError(
-                "cannot repair chromosome: forced genes alone are infeasible"
-            )
-        draws = (rng.random(bad_idx.size) * counts).astype(np.int64)
-        # Guard the r*counts rounding edge where the product lands on counts.
-        ordinal = np.minimum(draws, counts - 1)
-        cum = np.cumsum(clearable, axis=1)
-        chosen = (cum == (ordinal + 1)[:, None]).argmax(axis=1)
-        pop[bad_idx, chosen] = 0
 
     def assert_shape(self, population: np.ndarray) -> None:
         """Validate a population matrix against this problem."""

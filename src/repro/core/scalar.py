@@ -56,7 +56,6 @@ class ScalarGASolver(MOGASolver):
         seed: SeedLike = None,
         eval_cache: bool = True,
         cache_capacity: int | None = None,
-        fast_repair: bool = False,
     ) -> None:
         extra = {} if cache_capacity is None else {"cache_capacity": cache_capacity}
         super().__init__(
@@ -66,7 +65,6 @@ class ScalarGASolver(MOGASolver):
             selection="age",
             seed=seed,
             eval_cache=eval_cache,
-            fast_repair=fast_repair,
             **extra,
         )
         self.coeffs = np.asarray(coeffs, dtype=float)

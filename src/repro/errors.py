@@ -84,15 +84,6 @@ class ServiceError(ReproError, RuntimeError):
         self.code = int(code)
 
 
-class ShmCorruptionError(ReproError, RuntimeError):
-    """A shared-memory trace segment failed its integrity check.
-
-    Attaching readers treat this as "the segment does not exist": they
-    fall back to regenerating the trace, and the publisher unlinks and
-    republishes the segment, counting the event in telemetry.
-    """
-
-
 class TransientServiceError(ServiceError):
     """The service endpoint is briefly unreachable; safe to retry.
 

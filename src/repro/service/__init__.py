@@ -26,15 +26,11 @@ Beyond the single socket, the service scales out:
 * the daemon also listens on **TCP** (with a minimal HTTP/1.1 adapter)
   behind per-connection deadlines and inflight limits;
 * the **client** (:mod:`.client`) retries transient transport failures
-  with full-jitter backoff behind a per-endpoint circuit breaker, and
-  optionally hedges idempotent reads;
+  with full-jitter backoff behind a per-endpoint circuit breaker;
 * a **shard router** (:mod:`.shards`) consistent-hashes idempotency
   keys across N daemons, down-marks dead shards, fails over provably
   unsent work, and reconciles ambiguous work on recovery — exactly
-  once, end to end;
-* immutable trace columns are published **zero-copy** to checksummed
-  shared-memory segments (:mod:`.shm`) that workers attach instead of
-  regenerating.
+  once, end to end.
 
 ``tools/chaos.py`` is the deterministic chaos harness that proves those
 properties; ``docs/service.md`` documents the protocol and the failure
@@ -61,7 +57,6 @@ from .protocol import (
 )
 from .queue import AdmissionQueue
 from .shards import HashRing, Routed, ShardRouter
-from .shm import TracePublisher, attach_trace, publish_trace, unlink_segment
 
 __all__ = [
     "AdmissionQueue",
@@ -80,14 +75,10 @@ __all__ = [
     "ServiceDaemon",
     "ServicePool",
     "ShardRouter",
-    "TracePublisher",
-    "attach_trace",
     "decode_message",
     "encode_message",
     "error_response",
     "ok_response",
     "parse_endpoint",
-    "publish_trace",
-    "unlink_segment",
     "validate_request",
 ]

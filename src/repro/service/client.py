@@ -3,7 +3,7 @@
 One connection per call, on purpose: the client's only state is the
 endpoint, so it survives daemon restarts transparently — exactly what
 the chaos harness needs when it SIGKILLs the daemon between ``submit``
-and ``wait``.  On top of that stateless transport sit three failure
+and ``wait``.  On top of that stateless transport sit two failure
 shields, each bounded and observable:
 
 * **bounded retry with full-jitter backoff** (:class:`ClientRetryPolicy`)
@@ -20,11 +20,6 @@ shields, each bounded and observable:
   seconds, then a single half-open probe decides between closing and
   re-opening.  A fleet of clients hammering a dead shard turns into a
   trickle of probes.
-* **optional hedged reads** for idempotent ops (``status``/``wait``
-  etc.): when a response takes longer than ``hedge_delay`` seconds a
-  second identical request races the first, and the first answer wins.
-  Hedging is restricted to read-only ops — a hedged ``submit`` without
-  an idempotency key could double-run.
 
 Writes are retried conservatively: a ``submit`` whose failure is
 *ambiguous* (the request may have reached the daemon before the
@@ -156,10 +151,6 @@ class CircuitBreaker:
                 self._opened_at = time.monotonic()
 
 
-#: Ops that are safe to hedge (idempotent reads).
-HEDGEABLE_OPS = frozenset({"ping", "status", "stats", "wait"})
-
-
 class ServiceClient:
     """Talks JSON-lines to a :class:`~repro.service.ServiceDaemon`.
 
@@ -175,9 +166,6 @@ class ServiceClient:
         Circuit breaker guarding this endpoint; pass a shared instance
         when several clients target the same daemon, or None for a
         private one.
-    hedge_delay:
-        When set, idempotent reads are hedged: a duplicate request is
-        launched after this many seconds and the first response wins.
     seed:
         Seeds the jitter RNG (chaos runs pin it for reproducibility).
     """
@@ -188,7 +176,6 @@ class ServiceClient:
         timeout: float = 30.0,
         retry: Optional[ClientRetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        hedge_delay: Optional[float] = None,
         seed: Optional[int] = None,
     ) -> None:
         self.endpoint = endpoint
@@ -196,17 +183,9 @@ class ServiceClient:
         self.timeout = timeout
         self.retry = retry if retry is not None else ClientRetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.hedge_delay = hedge_delay
         self._rng = random.Random(seed)
         #: transport-level telemetry (tests and the router read these).
         self.retries = 0
-        self.hedges = 0
-
-    # --- legacy alias -------------------------------------------------------------
-    @property
-    def socket_path(self) -> str:
-        """The endpoint string (historical name from the unix-only client)."""
-        return self.endpoint
 
     # --- transport ---------------------------------------------------------------
     def _connect(self) -> socket.socket:
@@ -313,49 +292,9 @@ class ServiceClient:
                 break
         return b"".join(chunks)
 
-    # --- hedging -----------------------------------------------------------------
-    def _hedged_request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Race a duplicate request after ``hedge_delay``; first answer wins.
-
-        The first *successful* response is returned as soon as it lands;
-        errors are only raised once every launched attempt has failed.
-        """
-        results: List[Any] = []
-        cond = threading.Condition()
-
-        def attempt() -> None:
-            try:
-                value: Any = self.request(message)
-            except ServiceError as exc:
-                value = exc
-            with cond:
-                results.append(value)
-                cond.notify_all()
-
-        threading.Thread(target=attempt, daemon=True).start()
-        launched = 1
-        with cond:
-            if not cond.wait_for(lambda: results, timeout=self.hedge_delay):
-                self.hedges += 1
-                threading.Thread(target=attempt, daemon=True).start()
-                launched = 2
-            cond.wait_for(lambda: results)
-            while (len(results) < launched
-                   and all(isinstance(v, ServiceError) for v in results)):
-                cond.wait()  # first finisher failed; await the straggler
-        for value in results:
-            if not isinstance(value, ServiceError):
-                return value
-        raise results[0]
-
     def _checked(self, message: Dict[str, Any], *,
                  idempotent: bool = True) -> Dict[str, Any]:
-        op = message.get("op")
-        if (self.hedge_delay is not None and idempotent
-                and op in HEDGEABLE_OPS):
-            response = self._hedged_request(message)
-        else:
-            response = self.request(message, idempotent=idempotent)
+        response = self.request(message, idempotent=idempotent)
         if not response.get("ok"):
             raise ServiceError(
                 response.get("error", "unknown service error"),

@@ -33,13 +33,7 @@ loop listening on a Unix socket and, optionally, a TCP port:
   serves finished results from the journal, and re-enqueues every
   accepted-but-unfinished request, exempt from admission control.  A
   SIGKILL'd daemon therefore resumes its backlog with no client action,
-  and a result computed before the kill is never recomputed;
-* **shared-memory traces** (``shm_traces``): before dispatching, the
-  daemon publishes the request's trace columns into a checksummed
-  ``multiprocessing.shared_memory`` segment (:mod:`.shm`) and passes the
-  segment name to workers, which attach zero-copy instead of
-  regenerating.  Segments are unlinked on every exit path — the signal
-  handlers funnel through :meth:`serve`'s ``finally``.
+  and a result computed before the kill is never recomputed.
 
 The daemon is deliberately single-loop: all state mutation happens on
 the event loop thread, except the pool's ``on_dispatch`` journal append
@@ -60,7 +54,6 @@ from . import protocol
 from .journal import RequestJournal
 from .pool import PoolConfig, ServicePool
 from .queue import AdmissionQueue, make_policy
-from .shm import TracePublisher
 from .tasks import result_summary
 
 #: (generations divisor, watchdog seconds) per degradation level.
@@ -92,8 +85,6 @@ class ServiceConfig:
     io_deadline: float = 30.0
     #: shard identity "i/N" echoed by ping/stats (set by ``serve --shard``).
     shard: Optional[str] = None
-    #: publish traces to shared memory and hand workers the segment name.
-    shm_traces: bool = False
 
 
 class ServiceDaemon:
@@ -117,14 +108,10 @@ class ServiceDaemon:
             metrics=self.metrics,
             on_dispatch=self._on_dispatch,
         )
-        self.publisher = (TracePublisher(config.socket_path, self.metrics)
-                          if config.shm_traces else None)
         #: request id → {"state", "params", and terminal details}.
         self._status: Dict[str, Dict[str, Any]] = {}
         #: idempotency key → request id (journal-backed, rebuilt on boot).
         self._keys: Dict[str, str] = {}
-        #: (workload, scale) → future resolving to a segment name.
-        self._segments: Dict[tuple, "asyncio.Future"] = {}
         self._terminal_events: Dict[str, asyncio.Event] = {}
         self._seq = 0
         self._connections = 0
@@ -216,10 +203,6 @@ class ServiceDaemon:
                 tcp_server.close()
                 await tcp_server.wait_closed()
             self.pool.shutdown(wait=False)
-            if self.publisher is not None:
-                # Guaranteed unlink: SIGTERM/SIGINT funnel through
-                # request_shutdown → _stopped → this finally block.
-                self.publisher.close()
             if os.path.exists(self.config.socket_path):
                 os.unlink(self.config.socket_path)
 
@@ -249,41 +232,12 @@ class ServiceDaemon:
             effective["watchdog_budget"] = overrides["watchdog_budget"] = watchdog
         return effective, level, overrides
 
-    async def _ensure_segment(self, params: Dict[str, Any]) -> Optional[str]:
-        """Publish (once) and name the shm segment for a request's trace.
-
-        Publishing generates the trace, which is exactly the cold path
-        shm exists to amortize — so it runs in an executor thread, cached
-        per (workload, scale) as a future that concurrent dispatches of
-        the same trace all await.  Failure is non-fatal: the request
-        dispatches without a segment and workers regenerate.
-        """
-        assert self.publisher is not None
-        key = (params["workload"], params.get("scale"))
-        future = self._segments.get(key)
-        if future is None:
-            loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(
-                None, self.publisher.ensure, key[0], key[1])
-            self._segments[key] = future
-        try:
-            return await future
-        except Exception:
-            self._segments.pop(key, None)
-            self.metrics.inc("service.shm_publish_failed")
-            return None
-
     async def _dispatch_loop(self) -> None:
         assert self._kick is not None
         while True:
             while self.queue and self.pool.active() < self.config.workers:
                 rid, params = self.queue.take()
                 effective, level, overrides = self._degrade(params)
-                if self.publisher is not None:
-                    name = await self._ensure_segment(effective)
-                    if name is not None:
-                        effective = dict(effective)
-                        effective["shm_trace"] = name
                 status = self._status[rid]
                 status.update(state="running", degrade=level,
                               overrides=overrides or None)
@@ -462,8 +416,6 @@ class ServiceDaemon:
             policy=self.queue.policy.name,
             recovered=self.recovered,
             connections=self._connections,
-            shm_segments=(self.publisher.names()
-                          if self.publisher is not None else []),
             states=states,
             metrics=self.metrics.snapshot(),
             **self._identity(),

@@ -131,7 +131,6 @@ class ShardRouter:
         probe_poll: float = 0.25,
         timeout: float = 30.0,
         retry: Optional[ClientRetryPolicy] = None,
-        hedge_delay: Optional[float] = None,
         seed: Optional[int] = None,
     ) -> None:
         self.ring = HashRing(endpoints, replicas)
@@ -141,8 +140,7 @@ class ShardRouter:
         self._rng = random.Random(seed)
         self.clients: Dict[str, ServiceClient] = {
             endpoint: ServiceClient(
-                endpoint, timeout=timeout, retry=retry,
-                hedge_delay=hedge_delay, seed=seed)
+                endpoint, timeout=timeout, retry=retry, seed=seed)
             for endpoint in self.ring.endpoints
         }
         self._health: Dict[str, _ShardHealth] = {

@@ -29,16 +29,6 @@ from ..experiments.runner import RunResult, run_one
 from ..experiments.workloads import get_workload
 from ..parallel.supervisor import current_dispatch
 
-#: Worker-local cache of attached shared-memory traces (name → Trace).
-_SHM_TRACES: Dict[str, Any] = {}
-
-#: Worker-local fallback count: shm attaches that failed and were
-#: regenerated.  Corruption is *counted* daemon-side (the publisher
-#: verifies segments and bumps ``service.shm_corrupt``); this counter
-#: exists so tests can observe the worker's degrade path directly.
-_SHM_FALLBACKS = 0
-
-
 def apply_chaos(chaos: Optional[Dict[str, Any]], attempt: int) -> None:
     """Inject the directive's fault for this attempt (deterministic).
 
@@ -59,30 +49,6 @@ def apply_chaos(chaos: Optional[Dict[str, Any]], attempt: int) -> None:
         time.sleep(float(chaos.get("hang_seconds", 3600.0)))
 
 
-def _resolve_trace(workload: str, scale, shm_name: Optional[str]):
-    """The request's trace: shared-memory attach first, regeneration second.
-
-    A verified attach is cached per worker process (the daemon reuses one
-    segment name per (workload, scale)).  Any attach failure — segment
-    gone, checksum mismatch — silently degrades to the pre-shm path:
-    regenerate via :func:`get_workload` and count the fallback, so a
-    corrupt segment costs performance, never correctness.
-    """
-    global _SHM_FALLBACKS
-    if shm_name:
-        cached = _SHM_TRACES.get(shm_name)
-        if cached is not None:
-            return cached
-        from .shm import attach_or_none
-
-        trace = attach_or_none(shm_name)
-        if trace is not None:
-            _SHM_TRACES[shm_name] = trace
-            return trace
-        _SHM_FALLBACKS += 1
-    return get_workload(workload, scale)
-
-
 def execute_request(
     request_id: str,
     params: Dict[str, Any],
@@ -94,7 +60,7 @@ def execute_request(
     scale = get_scale(params.get("scale"))
     workload = params["workload"]
     method = params["method"]
-    trace = _resolve_trace(workload, scale, params.get("shm_trace"))
+    trace = get_workload(workload, scale)
     seed = params.get("seed")
     if seed is None:
         seed = cell_seed(workload, method)

@@ -37,48 +37,6 @@ STATE_CODES: Dict[JobState, int] = {
 }
 
 
-#: The immutable per-job columns that define a trace (everything except
-#: the dynamic ``state`` mirror) — the publication unit for zero-copy
-#: trace sharing (:mod:`repro.service.shm`), in a fixed order so the
-#: packed byte layout is deterministic.
-TRACE_COLUMNS = ("jid", "submit_time", "runtime", "walltime", "nodes",
-                 "bb", "ssd")
-
-
-def jobs_from_columns(
-    columns: Dict[str, np.ndarray],
-    deps: Dict[int, Sequence[int]] | None = None,
-    users: Dict[int, str] | None = None,
-) -> List[Job]:
-    """Rebuild a trace's job list from :data:`TRACE_COLUMNS` arrays.
-
-    The inverse of :meth:`JobTable.column_arrays`: columns (typically
-    attached zero-copy from a shared-memory segment) become fresh
-    :class:`Job` objects in PENDING state.  ``deps``/``users`` carry the
-    sparse non-numeric fields for the few jobs that have them.
-    """
-    deps = deps or {}
-    users = users or {}
-    n = len(columns["jid"])
-    jid, submit = columns["jid"], columns["submit_time"]
-    runtime, walltime = columns["runtime"], columns["walltime"]
-    nodes, bb, ssd = columns["nodes"], columns["bb"], columns["ssd"]
-    return [
-        Job(
-            jid=int(jid[i]),
-            submit_time=float(submit[i]),
-            runtime=float(runtime[i]),
-            walltime=float(walltime[i]),
-            nodes=int(nodes[i]),
-            bb=float(bb[i]),
-            ssd=float(ssd[i]),
-            deps=frozenset(deps.get(int(jid[i]), ())),
-            user=users.get(int(jid[i]), ""),
-        )
-        for i in range(n)
-    ]
-
-
 class JobTable:
     """Numpy columns over a fixed job list.
 
@@ -128,15 +86,6 @@ class JobTable:
 
     def __len__(self) -> int:
         return len(self.jobs)
-
-    def column_arrays(self) -> Dict[str, np.ndarray]:
-        """The immutable trace columns, keyed per :data:`TRACE_COLUMNS`.
-
-        The returned arrays are the table's own (not copies): callers
-        publishing them into shared memory copy exactly once, into the
-        segment itself.
-        """
-        return {name: getattr(self, name) for name in TRACE_COLUMNS}
 
     def rows_for(self, jobs: Sequence[Job]) -> np.ndarray:
         """Row indices of ``jobs``, in the given order."""

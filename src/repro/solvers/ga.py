@@ -57,8 +57,6 @@ class GAWindowSolver(WindowSolver):
     eval_cache:
         Memoize GA objective evaluations (byte-identical results, see
         :mod:`repro.core.evalcache`); ``False`` is the reference path.
-    fast_repair:
-        Opt into the vectorized (RNG-order-changing) repair mode.
     """
 
     name = "ga"
@@ -72,14 +70,12 @@ class GAWindowSolver(WindowSolver):
         mutation: float = DEFAULT_MUTATION,
         selection: str = "age",
         eval_cache: bool = True,
-        fast_repair: bool = False,
     ) -> None:
         self.generations = generations
         self.population = population
         self.mutation = mutation
         self.selection = selection
         self.eval_cache = eval_cache
-        self.fast_repair = fast_repair
         # One long-lived MOO solver: its eval cache persists across passes,
         # which is where the memoization speedup comes from.
         self.moga = MOGASolver(
@@ -89,7 +85,6 @@ class GAWindowSolver(WindowSolver):
             selection=selection,
             seed=None,
             eval_cache=eval_cache,
-            fast_repair=fast_repair,
         )
         # Scalar solves use throwaway solvers; their counters accumulate here.
         self._scalar_stats = dict(_ZERO_STATS)
@@ -107,7 +102,6 @@ class GAWindowSolver(WindowSolver):
             population=self.population,
             mutation=self.mutation,
             eval_cache=self.eval_cache,
-            fast_repair=self.fast_repair,
         )
         best = solver.best(problem, seed=seed)
         stats = solver.eval_cache_stats

@@ -54,12 +54,11 @@ def make_window_solver(
     mutation: float = DEFAULT_MUTATION,
     selection: str = "age",
     eval_cache: bool = True,
-    fast_repair: bool = False,
     backend: str = "auto",
 ) -> WindowSolver:
     """Construct a registered solver from the run's knobs.
 
-    GA knobs (``generations`` … ``fast_repair``) configure GA-backed
+    GA knobs (``generations`` … ``eval_cache``) configure GA-backed
     solvers and are ignored by exact ones; ``backend`` picks the MILP
     engine.  Unknown names raise :class:`ConfigurationError` listing the
     registered choices.
@@ -76,7 +75,6 @@ def make_window_solver(
         mutation=mutation,
         selection=selection,
         eval_cache=eval_cache,
-        fast_repair=fast_repair,
         backend=backend,
     )
 
@@ -87,7 +85,6 @@ def _ga_factory(
     mutation: float = DEFAULT_MUTATION,
     selection: str = "age",
     eval_cache: bool = True,
-    fast_repair: bool = False,
     backend: str = "auto",
 ) -> WindowSolver:
     return GAWindowSolver(
@@ -96,7 +93,6 @@ def _ga_factory(
         mutation=mutation,
         selection=selection,
         eval_cache=eval_cache,
-        fast_repair=fast_repair,
     )
 
 
@@ -106,7 +102,6 @@ def _scalar_factory(
     mutation: float = DEFAULT_MUTATION,
     selection: str = "age",
     eval_cache: bool = True,
-    fast_repair: bool = False,
     backend: str = "auto",
 ) -> WindowSolver:
     return ScalarGAWindowSolver(
@@ -115,7 +110,6 @@ def _scalar_factory(
         mutation=mutation,
         selection=selection,
         eval_cache=eval_cache,
-        fast_repair=fast_repair,
     )
 
 

@@ -211,6 +211,18 @@ class TestEvalCache:
         ra2 = a.solve(problem)
         assert rc.genes.tobytes() == ra2.genes.tobytes()
 
+    def test_snapshot_with_retired_fast_repair_key_loads(self):
+        """Snapshots from before the vectorized repair mode was removed
+        carry a ``fast_repair`` attribute; loading drops it."""
+        problem = table1_problem()
+        a = MOGASolver(generations=20, population=8, seed=9)
+        state = a.__getstate__()
+        state["fast_repair"] = False
+        b = MOGASolver.__new__(MOGASolver)
+        b.__setstate__(state)
+        assert not hasattr(b, "fast_repair")
+        assert a.solve(problem).genes.tobytes() == b.solve(problem).genes.tobytes()
+
 
 class TestCrowdingDistance:
     def test_boundaries_infinite(self):

@@ -153,16 +153,13 @@ class TestProblemProperties:
         assert pop.shape == (12, problem.w)
         assert problem.feasible(pop).all()
 
-    @given(forced_selection_problems(), st.integers(0, 2**31 - 1),
-           st.booleans())
+    @given(forced_selection_problems(), st.integers(0, 2**31 - 1))
     @settings(**COMMON, max_examples=40)
-    def test_repair_feasible_and_forced_intact_both_modes(
-        self, problem, seed, fast
-    ):
-        """Both repair modes end feasible with forced genes asserted."""
+    def test_repair_feasible_and_forced_intact_both_modes(self, problem, seed):
+        """Repair ends feasible with forced genes asserted."""
         rng = np.random.default_rng(seed)
         pop = rng.integers(0, 2, size=(12, problem.w), dtype=np.uint8)
-        fixed = problem.repair(pop, seed, fast=fast)
+        fixed = problem.repair(pop, seed)
         assert problem.feasible(fixed).all()
         if problem.forced:
             assert (fixed[:, list(problem.forced)] == 1).all()
@@ -170,15 +167,14 @@ class TestProblemProperties:
         unforced = [i for i in range(problem.w) if i not in problem.forced]
         assert (fixed[:, unforced] <= pop[:, unforced]).all()
 
-    @given(forced_selection_problems(), st.integers(0, 2**31 - 1),
-           st.booleans())
+    @given(forced_selection_problems(), st.integers(0, 2**31 - 1))
     @settings(**COMMON, max_examples=40)
-    def test_repair_idempotent(self, problem, seed, fast):
+    def test_repair_idempotent(self, problem, seed):
         """Repairing an already-feasible population changes nothing."""
         rng = np.random.default_rng(seed)
         pop = rng.integers(0, 2, size=(10, problem.w), dtype=np.uint8)
-        fixed = problem.repair(pop, seed, fast=fast)
-        again = problem.repair(fixed, seed + 1, fast=fast)
+        fixed = problem.repair(pop, seed)
+        again = problem.repair(fixed, seed + 1)
         assert (again == fixed).all()
 
 

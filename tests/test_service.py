@@ -575,67 +575,6 @@ class TestCircuitBreaker:
         assert breaker.opened == 1  # re-arm, not a new open event
 
 
-class TestHedging:
-    def test_slow_first_attempt_is_hedged(self, tmp_path):
-        client = ServiceClient(str(tmp_path / "nothing.sock"),
-                               hedge_delay=0.05)
-        calls = {"n": 0}
-
-        def fake_request(message, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                time.sleep(0.5)
-                return {"ok": True, "slow": True}
-            return {"ok": True, "fast": True}
-
-        client.request = fake_request
-        response = client._hedged_request({"op": "status", "id": "r1"})
-        assert response.get("fast")
-        assert client.hedges == 1
-
-    def test_fast_response_never_hedges(self, tmp_path):
-        client = ServiceClient(str(tmp_path / "nothing.sock"),
-                               hedge_delay=0.2)
-        client.request = lambda message, **kwargs: {"ok": True}
-        assert client._hedged_request({"op": "ping"})["ok"]
-        assert client.hedges == 0
-
-    def test_submit_is_never_hedged(self, tmp_path):
-        with DaemonHarness(tmp_path) as h:
-            client = ServiceClient(h.socket_path, timeout=10.0,
-                                   hedge_delay=0.0)
-
-            def explode(message):
-                raise AssertionError("submit must not be hedged")
-
-            real = client._hedged_request
-            client._hedged_request = explode
-            try:
-                accepted = client.submit(**SMOKE)
-                accepted_keyed = client.submit(idempotency_key="k1", **SMOKE)
-            finally:
-                client._hedged_request = real
-            client.wait(accepted["id"], timeout=120.0)
-            client.wait(accepted_keyed["id"], timeout=120.0)
-
-    def test_hedged_error_waits_for_straggler(self, tmp_path):
-        """First finisher failing must not mask a later success."""
-        client = ServiceClient(str(tmp_path / "nothing.sock"),
-                               hedge_delay=0.01)
-        calls = {"n": 0}
-
-        def fake_request(message, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                time.sleep(0.3)
-                return {"ok": True, "late": True}
-            raise ServiceError("hedge lane failed", code=500)
-
-        client.request = fake_request
-        response = client._hedged_request({"op": "ping"})
-        assert response.get("late")
-
-
 # --- TCP + HTTP front-end -------------------------------------------------------
 class TestNetworkFrontend:
     def tcp_harness(self, tmp_path, **overrides):

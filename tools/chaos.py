@@ -21,9 +21,7 @@ with network faults instead of worker faults — a shard SIGKILLed and
 restarted mid-workload (failover + journal recovery + reconciliation),
 a shard black-holed with SIGSTOP (stalled socket: the ambiguous-submit
 adoption path), slow-loris connections that must be disconnected by the
-io deadline, frames torn mid-JSON, and a corrupted shared-memory trace
-segment that attaching workers must fall back from and a restarting
-publisher must detect and republish.  The audit is key-level across the
+io deadline, and frames torn mid-JSON.  The audit is key-level across the
 union of all shard journals (``tools/validate_checkpoint.py`` ``--kind
 shards``): every request exactly one effective outcome, duplicates only
 ever ``cancelled``.
@@ -350,8 +348,6 @@ class NetworkChaosPlan:
     slow_loris: int = 2
     #: connections closed mid-JSON-frame (torn frames).
     torn_frames: int = 2
-    #: flip a byte in a shard's shm segment before its restart.
-    corrupt_shm: bool = True
     io_deadline: float = 4.0
     client_timeout: float = 5.0
     recover_timeout: float = 60.0
@@ -397,7 +393,6 @@ class NetworkChaosHarness:
             "--workers", str(self.plan.workers),
             "--high-water", str(self.plan.high_water),
             "--shard", f"{i}/{self.plan.shards}",
-            "--shm-traces",
             "--io-deadline", str(self.plan.io_deadline),
         ]
         t0 = time.monotonic()
@@ -476,28 +471,6 @@ class NetworkChaosHarness:
         finally:
             sock.close()
         self.faults.append({"fault": "torn_frame", "shard": i})
-
-    def corrupt_shm_segment(self, i: int) -> Optional[str]:
-        """Flip one byte in shard i's published trace segment."""
-        client = self.router.clients[self.endpoints[i]]
-        try:
-            segments = client.stats().get("shm_segments") or []
-        except ServiceError:
-            return None
-        if not segments:
-            return None
-        name = segments[0]
-        path = Path("/dev/shm") / name
-        try:
-            data = bytearray(path.read_bytes())
-        except OSError:  # pragma: no cover - non-Linux shm mount
-            return None
-        offset = len(data) - 1 - self.rng.randrange(min(64, len(data) // 2))
-        data[offset] ^= 0xFF
-        path.write_bytes(bytes(data))
-        self.faults.append({"fault": "corrupt_shm", "shard": i,
-                            "segment": name, "offset": offset})
-        return name
 
     def check_loris_disconnected(self) -> int:
         """Every held slow-loris socket must have been dropped by now."""
@@ -597,7 +570,6 @@ class NetworkChaosHarness:
 
         routed = []
         pending_restart: List[tuple] = []  # (shard, restart_at_index)
-        corrupted_segments: List[str] = []
         for n in range(plan.requests):
             for shard, at in list(pending_restart):
                 if n >= at:
@@ -614,10 +586,6 @@ class NetworkChaosHarness:
             if kill_schedule and n == kill_schedule[0]:
                 kill_schedule.pop(0)
                 victim = self.rng.randrange(plan.shards)
-                if plan.corrupt_shm:
-                    name = self.corrupt_shm_segment(victim)
-                    if name:
-                        corrupted_segments.append(name)
                 self.kill_shard(victim)
                 pending_restart.append(
                     (victim, n + plan.restart_after_submits))
@@ -652,7 +620,6 @@ class NetworkChaosHarness:
             raise RuntimeError(
                 f"{len(not_done)} request(s) not done: {not_done}")
         loris_dropped = self.check_loris_disconnected()
-        shm_corrupt_seen = self._shm_corruption_detected()
         for i in range(plan.shards):
             try:
                 self.router.clients[self.endpoints[i]].shutdown(mode="now")
@@ -662,25 +629,12 @@ class NetworkChaosHarness:
             except (ServiceError, subprocess.TimeoutExpired):
                 if self._shard_running(i):
                     self.kill_shard(i)
-        return self.report(routed, states, corrupted_segments,
-                           loris_dropped, shm_corrupt_seen,
+        return self.report(routed, states, loris_dropped,
                            time.monotonic() - t_start)
 
     def _shard_running(self, i: int) -> bool:
         proc = self.procs[i]
         return proc is not None and proc.poll() is None
-
-    def _shm_corruption_detected(self) -> int:
-        """Sum of publisher-side corruption detections across shards."""
-        total = 0
-        for endpoint in self.endpoints:
-            try:
-                stats = self.router.clients[endpoint].stats()
-            except ServiceError:
-                continue
-            counters = (stats.get("metrics") or {}).get("counters") or {}
-            total += int(counters.get("service.shm_corrupt", 0))
-        return total
 
     # --- audit + report ------------------------------------------------------------
     def audit(self, routed: List[Any]) -> Dict[str, Any]:
@@ -704,8 +658,7 @@ class NetworkChaosHarness:
         }
 
     def report(self, routed: List[Any], states: Dict[str, str],
-               corrupted: List[str], loris_dropped: int,
-               shm_corrupt_seen: int, elapsed: float) -> Dict[str, Any]:
+               loris_dropped: int, elapsed: float) -> Dict[str, Any]:
         audit = self.audit(routed)
         if audit["pending_keys"]:
             raise RuntimeError(
@@ -729,8 +682,6 @@ class NetworkChaosHarness:
                 "conflicts": self.router.conflicts,
             },
             "slow_loris_dropped": loris_dropped,
-            "shm_segments_corrupted": corrupted,
-            "shm_corruption_detected": shm_corrupt_seen,
             "audit": audit,
             "elapsed_s": elapsed,
         }
@@ -779,7 +730,6 @@ def _network_main(args: argparse.Namespace) -> int:
         shard_kills=args.daemon_kills, blackholes=args.blackholes,
         blackhole_seconds=args.blackhole_seconds,
         slow_loris=args.slow_loris, torn_frames=args.torn_frames,
-        corrupt_shm=not args.no_corrupt_shm,
         io_deadline=args.io_deadline, timeout=args.timeout,
     )
     report = run_network_chaos(plan, workdir=args.workdir)
@@ -814,8 +764,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="held half-frame connections for --network")
     parser.add_argument("--torn-frames", type=int, default=2,
                         help="mid-JSON disconnects for --network")
-    parser.add_argument("--no-corrupt-shm", action="store_true",
-                        help="skip the shared-memory byte-flip fault")
     parser.add_argument("--io-deadline", type=float, default=4.0,
                         help="per-connection io deadline for --network")
     parser.add_argument("--seed", type=int, default=0)
