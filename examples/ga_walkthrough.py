@@ -10,7 +10,10 @@ approximate the true front.
 Run:  python examples/ga_walkthrough.py
 """
 
+import numpy as np
+
 from repro import ExhaustiveSolver, Job, MOGASolver, SelectionProblem
+from repro.core.evalcache import unpack_genes
 from repro.core.pareto import non_dominated_mask
 from repro.units import TB
 
@@ -34,18 +37,19 @@ class NarratingSolver(MOGASolver):
         self._every = every
         self._generation = 0
 
-    def _survivors(self, genes, objectives, ages, rng, keys=None):
-        keep = super()._survivors(genes, objectives, ages, rng, keys)
+    def _survive(self, pool, rng):
+        population = super()._survive(pool, rng)
         if self._generation % self._every == 0:
-            F = objectives[keep]
+            genes = unpack_genes([bits for bits, _, _ in population], self._problem.w)
+            F = np.array([obj for _, _, obj in population])
             front = non_dominated_mask(F)
             print(f"generation {self._generation}:")
-            for g, (f1, f2), on_front in zip(genes[keep], F, front):
+            for g, (f1, f2), on_front in zip(genes, F, front):
                 mark = "*" if on_front else " "
                 print(f"  {mark} {''.join(map(str, g))}  "
                       f"nodes {f1 / NODES:5.0%}  BB {f2 / BB:5.0%}")
         self._generation += 1
-        return keep
+        return population
 
 
 def main() -> None:

@@ -1,12 +1,14 @@
-"""Memoized population evaluation for the GA hot loop.
+"""Bit-packed chromosomes and the memoized evaluation for the GA hot loop.
 
-Every generation of :class:`~repro.core.ga.MOGASolver` evaluates a pooled
-``(2P, w)`` population of which the ``P`` parent rows were already scored
-last generation, and crossover routinely reproduces chromosomes seen many
-generations ago.  :class:`EvaluationCache` memoizes objective rows keyed by
-the chromosome's raw bytes so each distinct chromosome is evaluated exactly
-once per solve; duplicate rows *within* one batch are also collapsed to a
-single evaluation.
+The cached GA loop (:class:`~repro.core.ga.MOGASolver` with
+``eval_cache=True``) carries each chromosome as a Python int with gene
+``i`` at bit ``i`` (:func:`pack_genes` / :func:`unpack_genes`; Python ints
+have no width limit).  Every generation pools the ``P`` parents with ``P``
+children; the parents carry their objective rows with them, and crossover
+routinely reproduces chromosomes seen many generations ago.
+:class:`EvaluationCache` memoizes objective rows keyed by the packed int so
+each distinct chromosome is evaluated exactly once per solve; duplicate
+rows *within* one batch are also collapsed to a single evaluation.
 
 Byte-identity contract
 ----------------------
@@ -20,58 +22,67 @@ blocked BLAS matmul whose per-row results shift with the batch size.
 ``tests/test_differential.py`` pins this end-to-end.
 
 Because every chromosome enters the store *after* repair, store membership
-doubles as a known-feasible certificate: the solver skips re-checking
-feasibility for children that are byte-identical to an already-scored
-chromosome (see ``MOGASolver._repair_known``).
+doubles as a known-feasible certificate; the cache also remembers the
+chromosomes found infeasible during the solve, so repair only sends rows
+of unknown feasibility to ``problem.feasible``
+(:meth:`EvaluationCache.infeasible`).
 
 The store is bounded (FIFO eviction, insertion order) and cleared between
-solves — chromosome bytes only mean anything relative to one problem
-instance.  Hit/miss/dedup/eviction counters accumulate across solves and
-feed the ``ga.eval_cache.*`` telemetry counters.
+solves — a chromosome only means anything relative to one problem
+instance.  Eviction never drops a live row, because the population carries
+its own objective rows.  Hit/miss/dedup/eviction counters accumulate across
+solves and feed the ``ga.eval_cache.*`` telemetry counters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import SolverError
-
-#: Default bound on distinct chromosomes retained per solve.  A default
-#: (G=500, P=20) solve touches at most ``(G + 1) · P`` distinct rows, so
-#: this never evicts at the paper's parameters while still bounding memory
-#: for pathological configurations.
+#: Bound on distinct chromosomes retained per solve.  A default (G=500,
+#: P=20) solve touches at most ``(G + 1) · P`` distinct rows, so this never
+#: evicts at the paper's parameters while still bounding memory for
+#: pathological configurations.
 DEFAULT_EVAL_CACHE_CAPACITY = 32768
 
+#: One chromosome's objective row, as Python floats.
+Objectives = Tuple[float, ...]
 
-def chromosome_keys(genes: np.ndarray) -> List[bytes]:
-    """Per-row byte keys of a ``(P, w)`` chromosome matrix."""
-    rows = np.ascontiguousarray(genes)
-    stride = rows.shape[1] * rows.dtype.itemsize
-    if stride == 0:
-        return [b""] * rows.shape[0]
-    blob = rows.tobytes()
-    return [blob[i * stride : (i + 1) * stride] for i in range(rows.shape[0])]
+
+def pack_genes(genes: np.ndarray) -> List[int]:
+    """Ints (gene ``i`` at bit ``i``) of the rows of a ``(n, w)`` 0/1 matrix."""
+    packed = np.packbits(genes, axis=1, bitorder="little")
+    stride = packed.shape[1]
+    blob = packed.tobytes()
+    return [
+        int.from_bytes(blob[i * stride : (i + 1) * stride], "little")
+        for i in range(packed.shape[0])
+    ]
+
+
+def unpack_genes(rows: Sequence[int], w: int) -> np.ndarray:
+    """The ``(len(rows), w)`` uint8 matrix of packed chromosomes."""
+    stride = (w + 7) // 8
+    blob = b"".join([bits.to_bytes(stride, "little") for bits in rows])
+    packed = np.frombuffer(blob, dtype=np.uint8).reshape(len(rows), stride)
+    return np.unpackbits(packed, axis=1, count=w, bitorder="little")
 
 
 class EvaluationCache:
-    """Bounded chromosome-bytes → objective-row memo table.
+    """Bounded packed-chromosome → objective-row memo table.
 
-    Parameters
-    ----------
-    capacity:
-        Maximum number of distinct chromosomes retained; the oldest
-        entries are evicted first (insertion order).  Eviction only costs
-        re-evaluation later — results are unaffected.
+    Holds at most :data:`DEFAULT_EVAL_CACHE_CAPACITY` distinct chromosomes
+    (read when the cache is built); the oldest entries are evicted first
+    (insertion order).  Eviction only costs re-evaluation later — results
+    are unaffected.
     """
 
-    def __init__(self, capacity: int = DEFAULT_EVAL_CACHE_CAPACITY) -> None:
-        if capacity < 1:
-            raise SolverError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._store: Dict[bytes, np.ndarray] = {}
-        self.hits = 0        #: rows served from the store
+    def __init__(self) -> None:
+        self.capacity = DEFAULT_EVAL_CACHE_CAPACITY
+        self._store: Dict[int, Objectives] = {}
+        self._infeasible: set = set()
+        self.hits = 0        #: rows served without an evaluation
         self.misses = 0      #: rows that triggered an evaluation
         self.deduped = 0     #: duplicate rows collapsed within one batch
         self.evictions = 0   #: entries dropped to honour ``capacity``
@@ -79,12 +90,10 @@ class EvaluationCache:
     def __len__(self) -> int:
         return len(self._store)
 
-    def __contains__(self, key: bytes) -> bool:
-        return key in self._store
-
     def reset(self) -> None:
         """Drop the store (counters survive).  Called between solves."""
         self._store.clear()
+        self._infeasible.clear()
 
     def stats(self) -> Dict[str, int]:
         """Cumulative counters as a plain dict (telemetry-ready)."""
@@ -95,45 +104,66 @@ class EvaluationCache:
             "evictions": self.evictions,
         }
 
-    def evaluate(self, problem, genes: np.ndarray, keys: List[bytes]) -> np.ndarray:
-        """Objective matrix for ``genes``, evaluating only unseen rows.
+    def infeasible(self, problem, rows: Sequence[int], idx: List[int]) -> List[int]:
+        """The indices in ``idx`` whose rows break a constraint.
 
-        ``keys`` must be ``chromosome_keys(genes)`` (callers thread the
-        keys through generations instead of rehashing survivors).
+        Only rows of unknown feasibility reach ``problem.feasible``: stored
+        rows are feasible, and rows found infeasible are remembered (up to
+        ``capacity`` of them; forgetting costs only a re-check).
+        """
+        store, known_bad = self._store, self._infeasible
+        if len(known_bad) > self.capacity:
+            known_bad.clear()
+        unknown = [i for i in idx if rows[i] not in store and rows[i] not in known_bad]
+        if unknown:
+            ok = problem.feasible(unpack_genes([rows[i] for i in unknown], problem.w))
+            known_bad.update(rows[i] for i, good in zip(unknown, ok.tolist()) if not good)
+        return [i for i in idx if rows[i] in known_bad]
+
+    def evaluate(
+        self,
+        problem,
+        rows: Sequence[int],
+        known: Sequence[Optional[Objectives]],
+    ) -> List[Objectives]:
+        """Objective rows for the packed ``rows``, evaluating only unseen ones.
+
+        ``known[i]`` is row ``i``'s objective row when the caller already
+        holds it (a surviving parent), else ``None``.  Known rows count as
+        hits, exactly like rows found in the store.
         """
         store = self._store
-        get = store.get
+        out = list(known)
+        hits = 0
         miss_pos: List[int] = []
-        hit_pos: List[int] = []
-        hit_rows: List[np.ndarray] = []
         dup_pos: List[int] = []
         pending = set()
-        for i, key in enumerate(keys):
-            row = get(key)
-            if row is not None:
-                hit_pos.append(i)
-                hit_rows.append(row)
-            elif key in pending:
+        for i, obj in enumerate(out):
+            if obj is not None:
+                hits += 1
+                continue
+            bits = rows[i]
+            obj = store.get(bits)
+            if obj is not None:
+                hits += 1
+                out[i] = obj
+            elif bits in pending:
                 dup_pos.append(i)
             else:
-                pending.add(key)
+                pending.add(bits)
                 miss_pos.append(i)
-        self.hits += len(hit_pos)
+        self.hits += hits
         self.misses += len(miss_pos)
         self.deduped += len(dup_pos)
-        out = np.empty((len(keys), problem.n_objectives), dtype=float)
         if miss_pos:
-            fresh = problem.evaluate(np.ascontiguousarray(genes[miss_pos]))
-            for row, i in enumerate(miss_pos):
-                store[keys[i]] = fresh[row]
-            out[miss_pos] = fresh
-        if hit_pos:
-            out[hit_pos] = hit_rows
-        for i in dup_pos:
-            out[i] = store[keys[i]]
-        # Evict only after assembly so the current batch is never dropped
-        # mid-use; FIFO keeps the newest (most crossover-relevant) rows.
-        while len(store) > self.capacity:
-            store.pop(next(iter(store)))
-            self.evictions += 1
+            fresh = problem.evaluate(unpack_genes([rows[i] for i in miss_pos], problem.w))
+            for i, obj in zip(miss_pos, fresh.tolist()):
+                out[i] = store[rows[i]] = tuple(obj)
+            for i in dup_pos:
+                out[i] = store[rows[i]]
+            # The batch is fully assembled into ``out``, so FIFO eviction
+            # cannot drop a row in use; it keeps the newest rows.
+            while len(store) > self.capacity:
+                store.pop(next(iter(store)))
+                self.evictions += 1
         return out

@@ -19,22 +19,29 @@ returned.  Infeasible chromosomes are repaired by gene clearing (the
 problem's :meth:`~repro.core.problem.MOOProblem.repair`) — an ablation flag
 switches to NSGA-II-style crowding-distance selection for comparison.
 
-Everything is vectorized: the population is a ``(P, w)`` uint8 matrix and a
-full generation costs a few numpy kernel calls, which is what lets a
-``G=500, P=20`` solve finish in milliseconds (§3.2.3's "minimal overhead").
+With the evaluation cache on (the default) each chromosome is a Python int
+with gene ``i`` at bit ``i``, and the population is a list of ``(bits,
+age, objectives)`` members: crossover is two masks, repair clears set bits,
+and survivor selection is a few list passes, so a generation costs about
+four RNG calls plus list code.  Only rows the cache has not seen are
+unpacked to a uint8 matrix for the problem's numpy kernels.  With
+``eval_cache=False`` the population is a ``(P, w)`` uint8 matrix and every
+operator is a numpy call: that path is the reference the differential
+tests compare the cached loop against, byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import SolverError
 from ..rng import SeedLike, make_rng, restore_rng_state, rng_state
-from ..telemetry import get_tracer
-from .evalcache import DEFAULT_EVAL_CACHE_CAPACITY, EvaluationCache, chromosome_keys
+from ..telemetry import NULL_SPAN, get_tracer
+from .evalcache import EvaluationCache, Objectives, pack_genes, unpack_genes
 from .pareto import non_dominated_mask, unique_front
 from .problem import MOOProblem
 
@@ -95,6 +102,35 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
     return dist
 
 
+#: A member of the cached loop's population: packed chromosome, age, and
+#: its objective row (``None`` until the initial population is scored).
+Member = Tuple[int, int, Optional[Objectives]]
+
+
+def _front_2d(objs: Sequence[Objectives]) -> List[bool]:
+    """Two-objective Pareto mask over Python tuples, by sort-and-scan.
+
+    The same mask as :func:`~repro.core.pareto.non_dominated_mask`
+    (:func:`~repro.core.pareto.pareto_front_2d`), duplicates included:
+    walking the rows by descending ``(f1, f2)``, a row is on the front
+    when its ``f2`` beats every earlier ``f2``, and an exact duplicate
+    shares the decision of the first row of its run.
+    """
+    mask = [False] * len(objs)
+    best = -np.inf
+    prev = None
+    on = False
+    for i in sorted(range(len(objs)), key=objs.__getitem__, reverse=True):
+        obj = objs[i]
+        if obj != prev:
+            prev = obj
+            on = obj[1] > best
+            if on:
+                best = obj[1]
+        mask[i] = on
+    return mask
+
+
 class MOGASolver:
     """The paper's multi-objective GA (with an NSGA-II ablation mode).
 
@@ -119,15 +155,14 @@ class MOGASolver:
     seed:
         Seed or generator for all stochastic operators.
     eval_cache:
-        Memoize objective rows across generations (and skip feasibility
-        checks for children byte-identical to an already-scored
-        chromosome).  Results are byte-identical either way — the
-        problems' evaluation kernels are row-subset stable (see
-        :mod:`repro.core.evalcache`) and the differential suite pins it —
-        so this is on by default; ``False`` is the reference path (and the
-        CLI's ``--no-eval-cache`` escape hatch).
-    cache_capacity:
-        Bound on distinct chromosomes the cache retains per solve.
+        Run the bit-packed generation loop, which memoizes objective rows
+        across generations (and skips feasibility checks for chromosomes
+        whose feasibility it already knows).  Results are
+        byte-identical either way — the problems' evaluation kernels are
+        row-subset stable (see :mod:`repro.core.evalcache`) and the
+        differential suite pins it — so this is on by default; ``False``
+        is the numpy reference path (and the CLI's ``--no-eval-cache``
+        escape hatch).
     """
 
     def __init__(
@@ -139,7 +174,6 @@ class MOGASolver:
         seed_greedy: bool = True,
         seed: SeedLike = None,
         eval_cache: bool = True,
-        cache_capacity: int = DEFAULT_EVAL_CACHE_CAPACITY,
     ) -> None:
         if generations < 0:
             raise SolverError(f"generations must be >= 0, got {generations}")
@@ -149,8 +183,6 @@ class MOGASolver:
             raise SolverError(f"mutation must be a probability, got {mutation}")
         if selection not in ("age", "crowding"):
             raise SolverError(f"unknown selection scheme {selection!r}")
-        if cache_capacity < 1:
-            raise SolverError(f"cache_capacity must be >= 1, got {cache_capacity}")
         self.generations = generations
         self.population = population
         self.mutation = mutation
@@ -158,7 +190,6 @@ class MOGASolver:
         self.seed_greedy = seed_greedy
         self._seed = seed
         self.eval_cache = eval_cache
-        self.cache_capacity = cache_capacity
         #: Lazily built per-solver :class:`EvaluationCache`; dropped on
         #: pickling (checkpoint snapshots) and rebuilt on first solve.
         self._cache: Optional[EvaluationCache] = None
@@ -170,7 +201,8 @@ class MOGASolver:
     # — they are wall-clock-class observability, deliberately outside the
     # run fingerprint.  ``__setstate__`` defaults the newer attributes so
     # snapshots written before the cache existed still load, and drops the
-    # removed ``fast_repair`` knob that older snapshots still carry.
+    # removed ``fast_repair`` and ``cache_capacity`` knobs that older
+    # snapshots still carry.
     def __getstate__(self) -> Dict:
         state = self.__dict__.copy()
         state["_cache"] = None
@@ -178,7 +210,7 @@ class MOGASolver:
 
     def __setstate__(self, state: Dict) -> None:
         state.setdefault("eval_cache", True)
-        state.setdefault("cache_capacity", DEFAULT_EVAL_CACHE_CAPACITY)
+        state.pop("cache_capacity", None)
         state.pop("fast_repair", None)
         state.setdefault("_cache", None)
         self.__dict__.update(state)
@@ -211,7 +243,7 @@ class MOGASolver:
             raise SolverError("solver does not own a persistent RNG stream")
         restore_rng_state(self._seed, state)
 
-    # --- operators -------------------------------------------------------------
+    # --- reference path: numpy operators on a (P, w) uint8 matrix --------------
     def _crossover(self, parents: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Single-point crossover of random parent pairs → ``P`` children."""
         P, w = parents.shape
@@ -237,39 +269,19 @@ class MOGASolver:
         children ^= flips.astype(np.uint8)
         return children
 
-    def _dedup_youngest(
-        self,
-        genes: np.ndarray,
-        ages: np.ndarray,
-        keys: Optional[List[bytes]] = None,
-    ) -> np.ndarray:
+    def _dedup_youngest(self, genes: np.ndarray, ages: np.ndarray) -> np.ndarray:
         """Indices keeping the youngest copy of each distinct chromosome.
 
         Identical genes are one *solution*, and without dedup the Pareto
         set floods with clones of a single point, which freezes the
-        crossover gene pool and stalls exploration.
-
-        Two equivalent implementations: the void-view ``np.unique`` scan
-        (reference), and — when per-row byte ``keys`` are already in hand
-        from the eval cache — a first-occurrence scan over the age-sorted
-        rows, which skips rebuilding and re-sorting the structured view.
-        Both keep the first (youngest) occurrence per distinct row in
-        age-sorted order, so their outputs are identical.
+        crossover gene pool and stalls exploration.  Returns the kept
+        rows in age-sorted (stable) order.
         """
         order = np.lexsort((ages,))
-        if keys is None:
-            rows = np.ascontiguousarray(genes[order])
-            voided = rows.view([("", rows.dtype)] * rows.shape[1]).ravel()
-            _, first = np.unique(voided, return_index=True)
-            return order[np.sort(first)]
-        seen = set()
-        kept = []
-        for j in order:
-            key = keys[j]
-            if key not in seen:
-                seen.add(key)
-                kept.append(j)
-        return np.asarray(kept, dtype=np.intp)
+        rows = np.ascontiguousarray(genes[order])
+        voided = rows.view([("", rows.dtype)] * rows.shape[1]).ravel()
+        _, first = np.unique(voided, return_index=True)
+        return order[np.sort(first)]
 
     def _survivors(
         self,
@@ -277,7 +289,6 @@ class MOGASolver:
         objectives: np.ndarray,
         ages: np.ndarray,
         rng: np.random.Generator,
-        keys: Optional[List[bytes]] = None,
     ) -> np.ndarray:
         """Survival selection → indices (into the pool) of the next generation.
 
@@ -287,7 +298,7 @@ class MOGASolver:
         population size constant.
         """
         P = self.population
-        keep_idx = self._dedup_youngest(genes, ages, keys)
+        keep_idx = self._dedup_youngest(genes, ages)
         objectives = objectives[keep_idx]
         ages = ages[keep_idx]
         pareto = non_dominated_mask(objectives)
@@ -316,39 +327,6 @@ class MOGASolver:
             keep = np.concatenate([keep, keep[pad]])
         return keep_idx[keep]
 
-    # --- main loop ---------------------------------------------------------------
-    def _repair_known(
-        self,
-        problem: MOOProblem,
-        children: np.ndarray,
-        rng: np.random.Generator,
-        cache: EvaluationCache,
-    ) -> Tuple[np.ndarray, List[bytes]]:
-        """Repair ``children``, skipping work the cache already certifies.
-
-        Store membership means "was evaluated post-repair", i.e. feasible,
-        so only byte-novel children need a feasibility check — and when
-        those all pass, the whole repair (which would find nothing to do)
-        is skipped.  RNG parity with ``problem.repair``: both skipped
-        branches are exactly the cases where repair's no-copy fast path
-        returns without consuming the RNG, and the fallthrough delegates
-        to the identical ``repair`` call.
-        """
-        keys = chromosome_keys(children)
-        unknown = [i for i, key in enumerate(keys) if key not in cache]
-        if not unknown:
-            return children, keys
-        ok = problem.feasible(np.ascontiguousarray(children[unknown]))
-        if ok.all():
-            return children, keys
-        # Store rows are feasible by construction, so the subset check
-        # expands to the full-population feasibility vector — handing it
-        # to repair as a hint skips both of repair's own full checks.
-        hint = np.ones(len(keys), dtype=bool)
-        hint[unknown] = ok
-        children = problem.repair(children, rng, feasible_hint=hint)
-        return children, chromosome_keys(children)
-
     def _evolve_once(
         self,
         problem: MOOProblem,
@@ -356,40 +334,204 @@ class MOGASolver:
         ages: np.ndarray,
         forced: list,
         rng: np.random.Generator,
-        cache: Optional[EvaluationCache] = None,
-        keys: Optional[List[bytes]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[List[bytes]]]:
-        """One generation: crossover → mutate → repair → survival selection.
-
-        With ``cache`` the survivor keys thread through so parent rows are
-        never re-hashed, re-evaluated, or re-checked for feasibility;
-        without it this is the reference evaluate-everything path.  Both
-        paths draw identically from ``rng`` and return identical
-        populations (pinned by the differential tests).
-        """
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One reference generation: crossover → mutate → repair → selection."""
         children = self._crossover(genes, rng)
         children = self._mutate(children, rng)
         if forced:
             children[:, forced] = 1
-        if cache is None:
-            children = problem.repair(children, rng)
-            pool_keys = None
-        else:
-            children, child_keys = self._repair_known(problem, children, rng, cache)
-            assert keys is not None
-            pool_keys = keys + child_keys
+        children = problem.repair(children, rng)
         pool_genes = np.concatenate([genes, children])
         pool_ages = np.concatenate(
             [ages + 1, np.zeros(children.shape[0], dtype=np.int64)]
         )
-        if cache is None:
-            pool_obj = problem.evaluate(pool_genes)
-        else:
-            pool_obj = cache.evaluate(problem, pool_genes, pool_keys)
-        keep = self._survivors(pool_genes, pool_obj, pool_ages, rng, keys=pool_keys)
-        next_keys = [pool_keys[i] for i in keep] if pool_keys is not None else None
-        return pool_genes[keep], pool_ages[keep], next_keys
+        pool_obj = problem.evaluate(pool_genes)
+        keep = self._survivors(pool_genes, pool_obj, pool_ages, rng)
+        return pool_genes[keep], pool_ages[keep]
 
+    def _solve_reference(
+        self, problem: MOOProblem, rng: np.random.Generator, tracer
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Final population and its objectives, evaluating everything."""
+        genes = problem.random_population(self.population, rng)
+        forced = list(problem.forced)
+        if self.seed_greedy:
+            seeds = problem.greedy_chromosomes()
+            if seeds.shape[0]:
+                if forced:
+                    seeds = seeds.copy()
+                    seeds[:, forced] = 1
+                seeds = problem.repair(seeds, rng)
+                k = min(seeds.shape[0], self.population)
+                genes[:k] = seeds[:k]
+        ages = np.zeros(self.population, dtype=np.int64)
+        for gen in range(self.generations):
+            with tracer.span("ga_generation", gen=gen) if tracer.fine else NULL_SPAN:
+                genes, ages = self._evolve_once(problem, genes, ages, forced, rng)
+        return genes, problem.evaluate(genes)
+
+    # --- cached path: bit-packed operators on lists of members -----------------
+    # Each operator draws from ``rng`` with exactly the calls, shapes and
+    # dtypes of its reference twin above, in the same order, so both paths
+    # return byte-identical populations (pinned by the differential tests).
+    def _crossover_bits(
+        self, parents: List[int], w: int, rng: np.random.Generator
+    ) -> List[int]:
+        """Single-point crossover on packed chromosomes → ``P`` children."""
+        P = len(parents)
+        pairs = (P + 1) // 2
+        mothers = [parents[i] for i in rng.integers(0, P, size=pairs).tolist()]
+        fathers = [parents[i] for i in rng.integers(0, P, size=pairs).tolist()]
+        if w < 2:
+            return (mothers + fathers)[:P]
+        # Genes below the cut come from the first parent of the child.
+        lows = [(1 << cut) - 1 for cut in rng.integers(1, w, size=pairs).tolist()]
+        child_a = [(m & low) | (f & ~low) for m, f, low in zip(mothers, fathers, lows)]
+        child_b = [(f & low) | (m & ~low) for m, f, low in zip(mothers, fathers, lows)]
+        return (child_a + child_b)[:P]
+
+    def _mutate_bits(
+        self, children: List[int], w: int, rng: np.random.Generator
+    ) -> List[int]:
+        """Independent per-gene bit flips with probability ``p_m``."""
+        if self.mutation == 0.0:
+            return children
+        flips = rng.random((len(children), w)) < self.mutation
+        if not flips.any():
+            return children
+        return [bits ^ flip for bits, flip in zip(children, pack_genes(flips))]
+
+    @staticmethod
+    def _repair_bits(
+        problem: MOOProblem,
+        rows: List[int],
+        forced_bits: int,
+        rng: np.random.Generator,
+        cache: EvaluationCache,
+    ) -> None:
+        """Repair ``rows`` in place, as :meth:`MOOProblem.repair` does.
+
+        Each round clears, in every infeasible row in row order, one set
+        non-forced bit picked by ``rng.integers(0, n, dtype=np.int64)``
+        among the ``n`` such bits in ascending gene order, then re-checks
+        those rows.
+        """
+        free = ~forced_bits
+        bad = cache.infeasible(problem, rows, list(range(len(rows))))
+        while bad:
+            for i in bad:
+                clearable = rows[i] & free
+                n = clearable.bit_count()
+                if n == 0:
+                    raise SolverError(
+                        "cannot repair chromosome: forced genes alone are infeasible"
+                    )
+                for _ in range(rng.integers(0, n, dtype=np.int64)):
+                    clearable &= clearable - 1  # drop the lowest set bit
+                rows[i] ^= clearable & -clearable
+            bad = cache.infeasible(problem, rows, bad)
+
+    def _select(self, objs: List[Objectives], rng: np.random.Generator) -> List[int]:
+        """Survivor rule → ``P`` indices into ``objs``.
+
+        ``objs`` are the unique chromosomes' objective rows, youngest
+        first, so index order is the reference path's stable age order.
+        """
+        P = self.population
+        if len(objs[0]) == 2:
+            front = _front_2d(objs)
+        else:
+            front = non_dominated_mask(np.array(objs)).tolist()
+        set1 = [j for j, on in enumerate(front) if on]
+        set2 = [j for j, on in enumerate(front) if not on]
+        if self.selection == "crowding":
+            if len(set1) >= P:
+                keep = self._most_isolated(objs, set1, P)
+            else:
+                keep = set1 + self._most_isolated(objs, set2, P - len(set1))
+        else:
+            # Paper scheme: Set 1 passes, then Set 2, each newest first.
+            keep = (set1 + set2)[:P]
+        return self._pad(keep, rng)
+
+    @staticmethod
+    def _most_isolated(objs: List[Objectives], idx: List[int], n: int) -> List[int]:
+        """The ``n`` members of ``idx`` with the largest crowding distance."""
+        if not idx:
+            return []
+        dist = crowding_distance(np.array([objs[j] for j in idx]))
+        return [idx[j] for j in np.argsort(-dist, kind="stable")[:n].tolist()]
+
+    def _pad(self, keep: List[int], rng: np.random.Generator) -> List[int]:
+        """Recycle survivors (sampled with replacement) up to ``P``."""
+        short = self.population - len(keep)
+        if short > 0:
+            keep = keep + [keep[j] for j in rng.integers(0, len(keep), size=short).tolist()]
+        return keep
+
+    def _survive(self, pool: List[Member], rng: np.random.Generator) -> List[Member]:
+        """Next population: the youngest copy of each chromosome, then
+        :meth:`_select` (same result as :meth:`_survivors`)."""
+        seen = set()
+        unique = []
+        for member in sorted(pool, key=itemgetter(1)):  # stable: pool order breaks ties
+            if member[0] not in seen:
+                seen.add(member[0])
+                unique.append(member)
+        return [unique[j] for j in self._select([m[2] for m in unique], rng)]
+
+    def _next_generation(
+        self,
+        problem: MOOProblem,
+        population: List[Member],
+        forced_bits: int,
+        rng: np.random.Generator,
+        cache: EvaluationCache,
+    ) -> List[Member]:
+        """One cached generation: crossover → mutate → repair → selection."""
+        w = problem.w
+        parents = [m[0] for m in population]
+        children = self._mutate_bits(self._crossover_bits(parents, w, rng), w, rng)
+        if forced_bits:
+            children = [bits | forced_bits for bits in children]
+        self._repair_bits(problem, children, forced_bits, rng, cache)
+        rows = parents + children
+        objs = cache.evaluate(
+            problem, rows, [m[2] for m in population] + [None] * len(children)
+        )
+        ages = [m[1] + 1 for m in population] + [0] * len(children)
+        return self._survive(list(zip(rows, ages, objs)), rng)
+
+    def _solve_cached(
+        self,
+        problem: MOOProblem,
+        rng: np.random.Generator,
+        tracer,
+        cache: EvaluationCache,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Final population and its objectives, on packed chromosomes."""
+        P, w = self.population, problem.w
+        forced_bits = sum(1 << i for i in problem.forced)
+        # The draws of problem.random_population, then its repair.
+        rows = pack_genes(rng.integers(0, 2, size=(P, w), dtype=np.uint8))
+        rows = [bits | forced_bits for bits in rows]
+        self._repair_bits(problem, rows, forced_bits, rng, cache)
+        if self.seed_greedy:
+            seeds = [bits | forced_bits for bits in pack_genes(problem.greedy_chromosomes())]
+            self._repair_bits(problem, seeds, forced_bits, rng, cache)
+            k = min(len(seeds), P)
+            rows[:k] = seeds[:k]
+        population: List[Member] = [(bits, 0, None) for bits in rows]
+        for gen in range(self.generations):
+            with tracer.span("ga_generation", gen=gen) if tracer.fine else NULL_SPAN:
+                population = self._next_generation(
+                    problem, population, forced_bits, rng, cache
+                )
+        rows = [m[0] for m in population]
+        objs = cache.evaluate(problem, rows, [m[2] for m in population])
+        return unpack_genes(rows, w), np.array(objs, dtype=float)
+
+    # --- main loop ---------------------------------------------------------------
     def solve(self, problem: MOOProblem, seed: SeedLike = None) -> ParetoSet:
         """Approximate the Pareto set of ``problem``.
 
@@ -403,15 +545,13 @@ class MOGASolver:
                 objectives=np.zeros((0, problem.n_objectives)),
             )
         cache = None
-        before: Dict[str, int] = {}
         if self.eval_cache:
             cache = self._cache
             if cache is None:
-                cache = self._cache = EvaluationCache(self.cache_capacity)
-            # Chromosome bytes are only meaningful relative to one problem
+                cache = self._cache = EvaluationCache()
+            # A chromosome only means something relative to one problem
             # instance; counters accumulate across solves, the store not.
             cache.reset()
-            before = cache.stats()
         tracer = get_tracer()
         with tracer.span(
             "ga_solve",
@@ -421,41 +561,18 @@ class MOGASolver:
             population=self.population,
             eval_cache=cache is not None,
         ) as solve_span:
-            genes = problem.random_population(self.population, rng)
-            forced = list(problem.forced)
-            if self.seed_greedy:
-                seeds = problem.greedy_chromosomes()
-                if seeds.shape[0]:
-                    if forced:
-                        seeds = seeds.copy()
-                        seeds[:, forced] = 1
-                    seeds = problem.repair(seeds, rng)
-                    k = min(seeds.shape[0], self.population)
-                    genes[:k] = seeds[:k]
-            ages = np.zeros(self.population, dtype=np.int64)
-            keys = chromosome_keys(genes) if cache is not None else None
-            if tracer.fine:
-                # Per-generation spans are the highest-volume instrumentation
-                # in the repo — emitted only under Tracer(fine=True).
-                for gen in range(self.generations):
-                    with tracer.span("ga_generation", gen=gen):
-                        genes, ages, keys = self._evolve_once(
-                            problem, genes, ages, forced, rng, cache, keys
-                        )
+            # Per-generation spans are the highest-volume instrumentation in
+            # the repo — emitted only under Tracer(fine=True).
+            if cache is None:
+                genes, final_obj = self._solve_reference(problem, rng, tracer)
             else:
-                for _ in range(self.generations):
-                    genes, ages, keys = self._evolve_once(
-                        problem, genes, ages, forced, rng, cache, keys
-                    )
-            if cache is not None:
-                final_obj = cache.evaluate(problem, genes, keys)
+                before = cache.stats()
+                genes, final_obj = self._solve_cached(problem, rng, tracer, cache)
                 after = cache.stats()
                 solve_span.set(
                     cache_hits=after["hits"] - before["hits"],
                     cache_misses=after["misses"] - before["misses"],
                 )
-            else:
-                final_obj = problem.evaluate(genes)
             front = non_dominated_mask(final_obj)
             g, o = unique_front(genes[front], final_obj[front])
             solve_span.set(front=int(g.shape[0]))

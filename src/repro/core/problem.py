@@ -71,13 +71,7 @@ class MOOProblem(abc.ABC):
     def feasible(self, population: np.ndarray) -> np.ndarray:
         """Boolean feasibility vector ``(P,)`` for a population."""
 
-    def repair(
-        self,
-        population: np.ndarray,
-        seed: SeedLike = None,
-        *,
-        feasible_hint: "np.ndarray | None" = None,
-    ) -> np.ndarray:
+    def repair(self, population: np.ndarray, seed: SeedLike = None) -> np.ndarray:
         """Return a feasible copy of ``population``.
 
         Infeasible chromosomes have randomly chosen *non-forced* selected
@@ -88,26 +82,16 @@ class MOOProblem(abc.ABC):
         (clearing genes never breaks an untouched row), which preserves the
         historical RNG draw order exactly while skipping most of the
         feasibility work.
-
-        ``feasible_hint`` (trusted, internal) is a per-row feasibility
-        vector the caller already computed — the GA's evaluation cache
-        knows survivor rows are feasible and checks only byte-novel
-        children.  The caller guarantees the hint equals
-        ``self.feasible(population)`` and that forced genes are already
-        asserted; feasibility kernels are row-subset stable, so reusing
-        the vector is byte-identical to recomputing it.
         """
         pop = np.asarray(population, dtype=np.uint8)
         self.assert_shape(pop)
-        ok = feasible_hint
+        ok = None
         # Fast path: feasible populations with forced genes already set
-        # pass through unchanged (no copy) — the common case once the GA
-        # has converged, and the hot path of every generation.
-        if ok is None:
-            if not self.forced or (pop[:, list(self.forced)] == 1).all():
-                ok = self.feasible(pop)
-        if ok is not None and ok.all():
-            return pop
+        # pass through unchanged (no copy).
+        if not self.forced or (pop[:, list(self.forced)] == 1).all():
+            ok = self.feasible(pop)
+            if ok.all():
+                return pop
         rng = make_rng(seed)
         pop = np.array(population, dtype=np.uint8, copy=True)
         forced_mask = np.zeros(self.w, dtype=bool)

@@ -55,9 +55,7 @@ class ScalarGASolver(MOGASolver):
         mutation: float = DEFAULT_MUTATION,
         seed: SeedLike = None,
         eval_cache: bool = True,
-        cache_capacity: int | None = None,
     ) -> None:
-        extra = {} if cache_capacity is None else {"cache_capacity": cache_capacity}
         super().__init__(
             generations=generations,
             population=population,
@@ -65,25 +63,26 @@ class ScalarGASolver(MOGASolver):
             selection="age",
             seed=seed,
             eval_cache=eval_cache,
-            **extra,
         )
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
             raise SolverError(f"coeffs must be a non-empty vector, got {self.coeffs}")
 
-    def _survivors(self, genes, objectives, ages, rng, keys=None):
+    def _check_objectives(self, k: int) -> None:
+        if k != self.coeffs.size:
+            raise SolverError(
+                f"problem has {k} objectives, solver has {self.coeffs.size} coefficients"
+            )
+
+    def _survivors(self, genes, objectives, ages, rng):
         """Keep the ``P`` fittest *unique* chromosomes (pool indices).
 
         Duplicates are collapsed (youngest copy kept) for the same reason
         as in :class:`MOGASolver`: clones freeze the crossover gene pool.
         Newer chromosomes win fitness ties.
         """
-        if objectives.shape[1] != self.coeffs.size:
-            raise SolverError(
-                f"problem has {objectives.shape[1]} objectives, "
-                f"solver has {self.coeffs.size} coefficients"
-            )
-        idx = self._dedup_youngest(genes, ages, keys)
+        self._check_objectives(objectives.shape[1])
+        idx = self._dedup_youngest(genes, ages)
         fitness = objectives[idx] @ self.coeffs
         order = np.lexsort((ages[idx], -fitness))
         keep = order[: self.population]
@@ -91,6 +90,17 @@ class ScalarGASolver(MOGASolver):
             pad = rng.integers(0, keep.size, size=self.population - keep.size)
             keep = np.concatenate([keep, keep[pad]])
         return idx[keep]
+
+    def _select(self, objs, rng):
+        """Cached-loop twin of :meth:`_survivors`: the ``P`` fittest.
+
+        ``objs`` is youngest first and the sort is stable, so newer
+        chromosomes win fitness ties, as with the reference's age key.
+        """
+        self._check_objectives(len(objs[0]))
+        fitness = (np.array(objs) @ self.coeffs).tolist()
+        order = sorted(range(len(objs)), key=lambda j: -fitness[j])
+        return self._pad(order[: self.population], rng)
 
     def best(self, problem: MOOProblem, seed: SeedLike = None) -> ScalarSolution:
         """Run the GA and return the single fittest solution found."""

@@ -211,7 +211,7 @@ class Supervisor:
         self.backoff = backoff
         self.metrics = metrics
         self.on_dispatch = on_dispatch
-        self._heartbeat = ctx.SimpleQueue()
+        self._heartbeat = None  # one per executor, see _make_executor
         self._executor: Optional[ProcessPoolExecutor] = None
         # Shared with other threads, under the lock.
         self._lock = threading.Lock()
@@ -328,6 +328,11 @@ class Supervisor:
             self.metrics.inc(f"service.{name}")
 
     def _make_executor(self) -> ProcessPoolExecutor:
+        # A fresh claim queue per pool: a worker terminated during a
+        # rebuild may die holding the old queue's write lock, and a
+        # reused queue would then block every later claim for good —
+        # and an unclaimed task never arms its deadline.
+        self._heartbeat = self.ctx.SimpleQueue()
         return ProcessPoolExecutor(
             max_workers=self.workers, mp_context=self.ctx,
             initializer=worker_initializer, initargs=(self._heartbeat,))
@@ -404,10 +409,13 @@ class Supervisor:
             except BrokenProcessPool:
                 # A worker died while the pool sat idle; undo this
                 # dispatch and let the break handler rebuild first.
+                # The wake ends this step's sleep, so the next step
+                # dispatches onto the new pool instead of idling.
                 task.dispatches -= 1
                 task.ready_at = now
                 self._waiting.append(task)
                 self._handle_break(resolved)
+                self.wake()
                 return
             self._inflight[task.key] = task
 

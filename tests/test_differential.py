@@ -3,10 +3,13 @@
 Two pure performance features are pinned here against their reference
 paths, which must be *byte-identical* at every level:
 
-* the GA evaluation cache (:mod:`repro.core.evalcache`, vs
-  ``eval_cache=False``) — solver outputs (ParetoSet genes and
-  objectives), full-run fingerprints for every §4 method under both
-  site policies, and runs that pass through a checkpoint/resume cycle;
+* the GA's cached, bit-packed generation loop (:mod:`repro.core.evalcache`,
+  vs the numpy ``eval_cache=False`` loop) — solver outputs (ParetoSet
+  genes and objectives) across window widths past 64 genes, forced
+  genes, mutation rates, fractional demands and every survivor rule,
+  its cache counters, full-run fingerprints for every §4 method under
+  both site policies, and runs that pass through a checkpoint/resume
+  cycle;
 * the array-backed engine fast path (vectorized queue ordering, the
   FCFS order cache, incremental planned releases, batch event pops; vs
   ``fast_engine=False`` / CLI ``--no-fast-engine``) — full-run
@@ -24,9 +27,11 @@ import numpy as np
 import pytest
 
 from repro.checkpoint.verify import fingerprint_digest, verify_resume
+from repro.core import evalcache
 from repro.core.ga import MOGASolver
 from repro.core.problem import SelectionProblem, SSDSelectionProblem
 from repro.core.scalar import ScalarGASolver
+from repro.errors import SolverError
 from repro.experiments import get_scale, get_workload
 from repro.experiments.runner import run_one
 from repro.methods.registry import METHODS_SECTION4
@@ -34,6 +39,7 @@ from repro.policies import FCFS, WFP
 from repro.policies.base import PriorityPolicy
 from repro.simulator.job import Job
 from repro.simulator.jobtable import JobTable
+from repro.telemetry import Tracer, use_tracer
 
 #: Deliberately tiny: 16 method×workload fingerprint pairs run per test
 #: session, each pair simulating the trace twice.  The name must stay a
@@ -62,7 +68,18 @@ def random_selection_problem(rng):
     )
 
 
-def random_ssd_problem(rng):
+def wide_selection_problem(rng, w, forced=(), fractional=False):
+    """A ``w``-job window whose capacities admit about a third of it."""
+    nodes = rng.integers(1, 50, size=w).astype(float)
+    bb = rng.uniform(0.0, 80.0, size=w) if fractional else (
+        rng.integers(0, 80, size=w).astype(float))
+    demands = np.column_stack([nodes, bb])
+    capacities = np.maximum(demands.sum(axis=0) / 3.0,
+                            demands[list(forced)].sum(axis=0))
+    return SelectionProblem(demands, capacities, forced=forced)
+
+
+def random_ssd_problem(rng, forced=()):
     w = int(rng.integers(3, 10))
     jobs = [
         make_job(j + 1, int(rng.integers(1, 4)),
@@ -70,12 +87,25 @@ def random_ssd_problem(rng):
                  ssd=float(rng.choice([0.0, 64.0, 200.0])))
         for j in range(w)
     ]
+    # Forced jobs are light enough for any tier, so the forced set fits.
+    for j in forced:
+        jobs[j] = make_job(j + 1, 1)
     tiers = {128.0: int(rng.integers(1, 5)), 256.0: int(rng.integers(1, 5))}
     return SSDSelectionProblem(
         jobs, free_nodes=sum(tiers.values()),
         free_bb=float(rng.integers(0, 60)),
-        free_tiers=tiers,
+        free_tiers=tiers, forced=forced,
     )
+
+
+class CountingProblem(SelectionProblem):
+    """A SelectionProblem that counts the rows it is asked to evaluate."""
+
+    rows_evaluated = 0
+
+    def evaluate(self, population):
+        self.rows_evaluated += population.shape[0]
+        return super().evaluate(population)
 
 
 def assert_pareto_identical(a, b):
@@ -119,6 +149,99 @@ class TestSolverDifferential:
         off = ScalarGASolver(coeffs, eval_cache=False, seed=seed, **kw)
         assert_pareto_identical(on.solve(problem), off.solve(problem))
 
+    @pytest.mark.parametrize("w", [1, 2, 20, 70])
+    @pytest.mark.parametrize("mutation", [0.0, 0.05])
+    def test_moga_window_widths(self, w, mutation):
+        """Chromosome ints past 64 bits, and crossover without a cut."""
+        rng = np.random.default_rng(5000 + w)
+        problem = wide_selection_problem(rng, w)
+        kw = dict(generations=20, population=10, mutation=mutation, seed=w)
+        on = MOGASolver(eval_cache=True, **kw).solve(problem)
+        off = MOGASolver(eval_cache=False, **kw).solve(problem)
+        assert_pareto_identical(on, off)
+
+    @pytest.mark.parametrize("selection", ["age", "crowding"])
+    @pytest.mark.parametrize("trial", range(3))
+    def test_moga_forced_genes(self, selection, trial):
+        rng = np.random.default_rng(6000 + trial)
+        problem = wide_selection_problem(rng, 24, forced=(1, 7, 20))
+        kw = dict(generations=25, population=10, mutation=0.05,
+                  selection=selection, seed=trial)
+        on = MOGASolver(eval_cache=True, **kw).solve(problem)
+        off = MOGASolver(eval_cache=False, **kw).solve(problem)
+        assert_pareto_identical(on, off)
+        assert on.genes[:, [1, 7, 20]].all()
+
+    @pytest.mark.parametrize("selection", ["age", "crowding"])
+    def test_moga_front_larger_than_population(self, selection):
+        """Survivors truncated from an overfull Pareto set (Set 1 > P)."""
+        # Nodes and BB anti-correlated: many selections trade one for the other.
+        nodes = np.arange(1.0, 21.0)
+        demands = np.column_stack([nodes, 21.0 - nodes])
+        problem = SelectionProblem(demands, [60.0, 60.0])
+        kw = dict(generations=20, population=4, mutation=0.05,
+                  selection=selection, seed=3)
+        on = MOGASolver(eval_cache=True, **kw).solve(problem)
+        off = MOGASolver(eval_cache=False, **kw).solve(problem)
+        assert_pareto_identical(on, off)
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_moga_ssd_forced_genes(self, trial):
+        rng = np.random.default_rng(7000 + trial)
+        problem = random_ssd_problem(rng, forced=(0, 2))
+        kw = dict(generations=25, population=10, mutation=0.05, seed=trial)
+        on = MOGASolver(eval_cache=True, **kw).solve(problem)
+        off = MOGASolver(eval_cache=False, **kw).solve(problem)
+        assert_pareto_identical(on, off)
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_moga_fractional_demands(self, trial):
+        rng = np.random.default_rng(8000 + trial)
+        problem = wide_selection_problem(rng, 20, fractional=True)
+        kw = dict(generations=25, population=10, mutation=0.05, seed=trial)
+        on = MOGASolver(eval_cache=True, **kw).solve(problem)
+        off = MOGASolver(eval_cache=False, **kw).solve(problem)
+        assert_pareto_identical(on, off)
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_scalar_solver_forced_genes(self, trial):
+        rng = np.random.default_rng(9000 + trial)
+        problem = wide_selection_problem(rng, 20, forced=(0, 5))
+        kw = dict(generations=25, population=10, mutation=0.05, seed=trial)
+        on = ScalarGASolver([0.3, 1.0], eval_cache=True, **kw)
+        off = ScalarGASolver([0.3, 1.0], eval_cache=False, **kw)
+        assert_pareto_identical(on.solve(problem), off.solve(problem))
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_scalar_solver_ssd_problem(self, trial):
+        """Four objectives: the fitness dot product over the same rows."""
+        rng = np.random.default_rng(9500 + trial)
+        problem = random_ssd_problem(rng, forced=(1,))
+        coeffs = [1.0, 0.01, 0.002, 0.5]
+        kw = dict(generations=25, population=10, mutation=0.05, seed=trial)
+        on = ScalarGASolver(coeffs, eval_cache=True, **kw)
+        off = ScalarGASolver(coeffs, eval_cache=False, **kw)
+        assert_pareto_identical(on.solve(problem), off.solve(problem))
+
+    def test_scalar_solver_rejects_wrong_objective_count(self):
+        problem = wide_selection_problem(np.random.default_rng(1), 6)
+        for eval_cache in (True, False):
+            solver = ScalarGASolver([1.0], generations=2, population=4,
+                                    seed=0, eval_cache=eval_cache)
+            with pytest.raises(SolverError):
+                solver.solve(problem)
+
+    def test_fine_tracing_changes_nothing(self):
+        rng = np.random.default_rng(10)
+        problem = wide_selection_problem(rng, 20, forced=(3,))
+        kw = dict(generations=15, population=10, mutation=0.05, seed=4)
+        tracer = Tracer(fine=True)
+        with use_tracer(tracer):
+            on = MOGASolver(eval_cache=True, **kw).solve(problem)
+        off = MOGASolver(eval_cache=False, **kw).solve(problem)
+        assert_pareto_identical(on, off)
+        assert sum(s.name == "ga_generation" for s in tracer.spans) == 15
+
     def test_cache_actually_engages(self):
         """The on-path must really memoize, or these tests prove nothing."""
         problem = random_selection_problem(np.random.default_rng(7))
@@ -128,7 +251,7 @@ class TestSolverDifferential:
         stats = solver.eval_cache_stats
         assert stats is not None and stats["hits"] > 0
 
-    def test_tiny_capacity_still_identical(self):
+    def test_tiny_capacity_still_identical(self, monkeypatch):
         """Evictions cost re-evaluation, never correctness."""
         # Wide window + hot mutation: enough distinct chromosomes to
         # overflow a 4-entry store many times over.
@@ -139,10 +262,48 @@ class TestSolverDifferential:
         ])
         problem = SelectionProblem(demands, [60.0, 90.0])
         kw = dict(generations=30, population=10, mutation=0.05, seed=42)
-        small = MOGASolver(eval_cache=True, cache_capacity=4, **kw)
+        monkeypatch.setattr(evalcache, "DEFAULT_EVAL_CACHE_CAPACITY", 4)
+        small = MOGASolver(eval_cache=True, **kw)
         off = MOGASolver(eval_cache=False, **kw)
         assert_pareto_identical(small.solve(problem), off.solve(problem))
         assert small.eval_cache_stats["evictions"] > 0
+
+
+class TestCacheCounters:
+    """The ``ga.eval_cache.*`` counters feed perfbench's hit ratio, so
+    their meaning is pinned: a miss is a row the problem evaluated."""
+
+    @staticmethod
+    def _problem():
+        rng = np.random.default_rng(11)
+        demands = np.column_stack([
+            rng.integers(1, 20, size=14).astype(float),
+            rng.integers(0, 30, size=14).astype(float),
+        ])
+        return CountingProblem(demands, [60.0, 90.0])
+
+    @pytest.mark.parametrize("generations", [0, 1, 30])
+    def test_misses_are_evaluated_rows(self, generations):
+        problem = self._problem()
+        solver = MOGASolver(generations=generations, population=10,
+                            mutation=0.05, seed=42)
+        solver.solve(problem)
+        stats = solver.eval_cache_stats
+        assert stats["misses"] == problem.rows_evaluated > 0
+        # Every pooled row is a hit, a miss or a batch duplicate: 2P rows
+        # a generation (the first pools the initial population), then the
+        # final population.
+        pooled = 20 * generations + 10
+        assert stats["hits"] + stats["misses"] + stats["deduped"] == pooled
+
+    def test_counters_pinned(self):
+        """Values recorded from the numpy-keyed cache this loop replaced."""
+        solver = MOGASolver(generations=30, population=10, mutation=0.05,
+                            seed=42)
+        solver.solve(self._problem())
+        assert solver.eval_cache_stats == {
+            "hits": 402, "misses": 200, "deduped": 8, "evictions": 0,
+        }
 
 
 class TestRunDifferential:

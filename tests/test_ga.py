@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.evalcache import pack_genes, unpack_genes
 from repro.core.exhaustive import ExhaustiveSolver
 from repro.core.ga import MOGASolver, ParetoSet, crowding_distance
 from repro.core.gd import generational_distance
@@ -155,6 +156,27 @@ class TestParetoSet:
                       objectives=np.zeros((1, 2)))
 
 
+class TestPackedChromosomes:
+    @pytest.mark.parametrize("w", [1, 8, 9, 64, 65])
+    def test_round_trip(self, w):
+        rng = np.random.default_rng(w)
+        genes = rng.integers(0, 2, size=(7, w), dtype=np.uint8)
+        genes[0] = 0
+        genes[1] = 1
+        rows = pack_genes(genes)
+        assert rows[0] == 0 and rows[1] == (1 << w) - 1
+        # Gene i is bit i.
+        assert all((bits >> i) & 1 == g for bits, row in zip(rows, genes)
+                   for i, g in enumerate(row))
+        back = unpack_genes(rows, w)
+        assert back.dtype == np.uint8 and back.shape == (7, w)
+        assert back.tobytes() == genes.tobytes()
+
+    def test_bool_flips_pack_like_genes(self):
+        flips = np.array([[True, False, True], [False, False, False]])
+        assert pack_genes(flips) == [0b101, 0]
+
+
 class TestEvalCache:
     def test_stats_none_when_disabled(self):
         s = MOGASolver(generations=10, population=8, eval_cache=False, seed=0)
@@ -187,10 +209,6 @@ class TestEvalCache:
         assert other.feasible(result.genes).all()
         assert np.allclose(result.objectives, other.evaluate(result.genes))
 
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(SolverError):
-            MOGASolver(cache_capacity=0)
-
     def test_pickle_drops_cache_and_results_stay_identical(self):
         """The memo store never rides along in a checkpoint: pickling
         drops it, and the restored solver rebuilds it lazily producing
@@ -221,6 +239,18 @@ class TestEvalCache:
         b = MOGASolver.__new__(MOGASolver)
         b.__setstate__(state)
         assert not hasattr(b, "fast_repair")
+        assert a.solve(problem).genes.tobytes() == b.solve(problem).genes.tobytes()
+
+    def test_snapshot_with_retired_cache_capacity_key_loads(self):
+        """Snapshots from before the ``cache_capacity`` knob was removed
+        carry that attribute; loading drops it."""
+        problem = table1_problem()
+        a = MOGASolver(generations=20, population=8, seed=9)
+        state = a.__getstate__()
+        state["cache_capacity"] = 4
+        b = MOGASolver.__new__(MOGASolver)
+        b.__setstate__(state)
+        assert not hasattr(b, "cache_capacity")
         assert a.solve(problem).genes.tobytes() == b.solve(problem).genes.tobytes()
 
 

@@ -56,11 +56,13 @@ class TestSimulateSignals:
         an un-checkpointed run, so the delay before signalling is a
         ladder: a SIGTERM that lands before the handler (child killed,
         ``-SIGTERM``) retries with a longer wait, one that lands after
-        the run finished retries with a shorter one.
+        the run finished retries with a shorter one.  The run is a
+        paper-scale simulation (minutes long), so the signal lands
+        inside it however fast the simulator gets.
         """
         for delay in (3.0, 1.5, 6.0):
             proc = _spawn(["simulate", "Theta-S4", "BBSched",
-                           "--scale", "default"], scale="default")
+                           "--scale", "paper"], scale="paper")
             time.sleep(delay)
             proc.send_signal(signal.SIGTERM)
             out, err = proc.communicate(timeout=300)

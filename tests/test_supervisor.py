@@ -1,6 +1,8 @@
 """The shared pool supervisor sleeps on events, not on a polling tick."""
 
 import multiprocessing
+import os
+import signal
 import threading
 import time
 
@@ -55,4 +57,35 @@ def test_submit_from_another_thread_wakes_an_idle_step():
         assert [task.future.result() for task in done] == [42]
     finally:
         timer.join(5.0)
+        supervisor.close()
+
+
+def test_a_rebuilt_pool_does_not_inherit_a_dead_workers_claim_lock():
+    # A worker terminated during a rebuild can die inside its heartbeat
+    # claim, holding the claim queue's write lock.  Holding that lock here
+    # stands in for it: the rebuilt pool's claims must not wait on it.
+    supervisor = _supervisor(deadline=30.0)
+    # Ends a step that would otherwise sleep forever, so a regression
+    # fails the assertion below instead of hanging the suite.
+    watchdog = threading.Timer(10.0, supervisor.wake)
+    try:
+        first = supervisor.submit("a", (1,))
+        while supervisor.active():
+            supervisor.step()
+        assert first.result() == 2
+        supervisor._heartbeat._wlock.acquire()
+        workers = list(supervisor._executor._processes.values())
+        for proc in workers:
+            os.kill(proc.pid, signal.SIGKILL)
+        for proc in workers:
+            proc.join(5.0)
+        second = supervisor.submit("b", (21,))
+        watchdog.start()
+        start = time.monotonic()
+        while supervisor.active() and time.monotonic() - start < 10.0:
+            supervisor.step()
+        assert second.done(), "no result from the rebuilt pool"
+        assert second.result() == 42
+    finally:
+        watchdog.cancel()
         supervisor.close()

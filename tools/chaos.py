@@ -247,6 +247,10 @@ class ChaosHarness:
                 if status["state"] in TERMINAL:
                     outcomes[rid] = status["state"]
                     pending.discard(rid)
+                    if kill_points and len(outcomes) >= kill_points[0]:
+                        # Kill now: a fast backlog can drain completely
+                        # between two polls, and the kill point is missed.
+                        break
             if kill_points and len(outcomes) >= kill_points[0] and pending:
                 kill_points.pop(0)
                 self.kill_daemon()
@@ -712,15 +716,16 @@ def run_network_chaos(plan: NetworkChaosPlan,
 
 def run_chaos(plan: ChaosPlan, workdir: Optional[str] = None) -> Dict[str, Any]:
     """Run one plan end to end; returns the report dict."""
-    if workdir is not None:
-        return ChaosHarness(plan, workdir).run()
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        harness = ChaosHarness(plan, tmp)
-        try:
-            return harness.run()
-        finally:
-            if harness.proc is not None and harness.proc.poll() is None:
-                harness.kill_daemon()
+    if workdir is None:
+        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
+            return run_chaos(plan, tmp)
+    harness = ChaosHarness(plan, workdir)
+    try:
+        return harness.run()
+    finally:
+        # A plan that raised (e.g. timed out) must not leave its daemon.
+        if harness.proc is not None and harness.proc.poll() is None:
+            harness.kill_daemon()
 
 
 def _network_main(args: argparse.Namespace) -> int:
