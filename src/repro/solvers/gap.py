@@ -44,7 +44,7 @@ class OptimalityYardstick:
     ----------
     solver:
         The exact reference solver; defaults to a fresh
-        :class:`~repro.solvers.milp.MILPWindowSolver` (auto backend).
+        :class:`~repro.solvers.milp.MILPWindowSolver`.
 
     Attributes
     ----------

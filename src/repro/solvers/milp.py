@@ -6,38 +6,31 @@ pure 0/1 linear program: genes ``x ∈ {0,1}^w``, objectives
 forced genes (§3.1 starvation bound) pinned to 1.  That makes two exact
 questions tractable far beyond :mod:`repro.core.exhaustive`'s 2^w wall:
 
-* **scalar optimum** (:meth:`MILPWindowSolver.solve_scalar`) — one
-  mixed-integer solve of ``max coeffs·F(x)``;
+* **scalar optimum** (:meth:`MILPWindowSolver.solve_scalar`) —
+  ``max coeffs·F(x)``, decomposed over node totals when node demands are
+  integral, else one 0/1 program;
 * **true Pareto front** (:meth:`MILPWindowSolver.solve`, two objectives) —
-  an ε-constraint sweep: repeatedly maximize ``f1`` under a descending
-  cap, then maximize ``f2`` at that exact ``f1`` level.  Node demands are
-  integral, so "exact level" is the box ``a − 0.5 ≤ f1 ≤ ub₁`` — no float
-  equality constraints.  A level enters the front iff its ``f2`` strictly
-  improves on all higher-``f1`` levels, which is precisely
-  :func:`repro.core.pareto.pareto_front_2d`'s membership rule.
+  an ε-constraint sweep over node totals.  :class:`_LevelTables` lists
+  every achievable node total (f1 level) in descending order with one
+  knapsack DP, then the sweep maximizes ``f2`` at each exact level.  Node
+  demands are integral, so "exact level" is the box ``t − 0.5 ≤ f1 ≤
+  t + 0.5`` — no float equality constraints.  A level enters the front
+  iff its ``f2`` strictly improves on all higher-``f1`` levels, which is
+  precisely :func:`repro.core.pareto.pareto_front_2d`'s membership rule.
 
-Two interchangeable backends solve the underlying 0/1 programs:
-
-* ``scipy`` — :func:`scipy.optimize.milp` (HiGHS), run at
-  ``mip_rel_gap=0`` so answers are exact, with every result re-verified
-  against ``problem.feasible``'s 1e-9 tolerance (HiGHS works at ~1e-6);
-* ``python`` — a dependency-free branch-and-bound over the same row form,
-  with fractional-knapsack objective bounds, so the solver works when
-  scipy is absent (scipy ships in the optional ``repro[milp]`` extra).
-
-``backend="auto"`` (default) prefers scipy and silently falls back; any
-scipy result that fails re-verification is re-solved in pure Python
-rather than trusted.  The §5 SSD problem is *not* representable here (its
-waste objective and feasibility come from an order-dependent greedy tier
-sweep, not a linear form) — :meth:`supports` reports ``False`` and the
-solver refuses with a clear error instead of answering a different
-problem.
+One dependency-free solver answers the underlying 0/1 programs: a
+branch-and-bound over the row form, with fractional-knapsack objective
+bounds, bitset reachability on integral lower-bounded rows, and an
+exact-total DP bound on the sweep's level boxes.  Levels whose
+burst-buffer cap is slack are read straight off the DP with no search.
+The §5 SSD problem is *not* representable here (its waste objective and
+feasibility come from an order-dependent greedy tier sweep, not a linear
+form) — :meth:`supports` reports ``False`` and the solver refuses with a
+clear error instead of answering a different problem.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -46,7 +39,7 @@ import numpy as np
 from ..core.ga import ParetoSet
 from ..core.problem import MOOProblem, SelectionProblem
 from ..core.scalar import ScalarSolution
-from ..errors import ConfigurationError, SolverError
+from ..errors import SolverError
 from ..rng import SeedLike
 from .base import WindowSolver
 
@@ -54,96 +47,15 @@ from .base import WindowSolver
 _TOL = 1e-9
 _INF = float("inf")
 
-_UNSET = object()
-_scipy_cache = _UNSET
+#: Cap on phase-2 0/1 programs per level search; levels answered by the
+#: DP skip/reconstruct fast paths are free.  Degenerate instances fail
+#: loudly instead of spinning.
+_MAX_SOLVES = 10_000
+#: Branch-and-bound node cap per 0/1 program.
+_NODE_BUDGET = 2_000_000
 
 
-def _load_scipy_milp():
-    """The ``(milp, LinearConstraint, Bounds)`` triple, or None.
-
-    Memoized import so availability is probed once per process; tests
-    monkeypatch this function to exercise the no-scipy path.
-    """
-    global _scipy_cache
-    if _scipy_cache is _UNSET:
-        try:
-            from scipy.optimize import Bounds, LinearConstraint, milp
-        except Exception:
-            _scipy_cache = None
-        else:
-            _scipy_cache = (milp, LinearConstraint, Bounds)
-    return _scipy_cache
-
-
-class _BackendFailure(Exception):
-    """A scipy solve came back unusable (odd status / tolerance breach)."""
-
-
-@contextlib.contextmanager
-def _quiet_fd1():
-    """Silence C-level stdout for the duration of a HiGHS solve.
-
-    The HiGHS build bundled with scipy prints a stray debug line
-    (``transformNewIntegerFeasibleSolution``) straight to fd 1 on some
-    instances, bypassing ``disp=False``.  That would corrupt any CLI
-    output being diffed (e.g. the durability workflow), so the fd is
-    parked on /dev/null around the solve.  Best-effort: environments
-    without dup-able descriptors just run unsilenced.
-    """
-    try:
-        saved = os.dup(1)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-    except OSError:
-        yield
-        return
-    try:
-        sys.stdout.flush()
-        os.dup2(devnull, 1)
-        yield
-    finally:
-        os.dup2(saved, 1)
-        os.close(saved)
-        os.close(devnull)
-
-
-def _scipy_solve(
-    spec,
-    values: np.ndarray,
-    rows: np.ndarray,
-    lb: np.ndarray,
-    ub: np.ndarray,
-    forced: Sequence[int],
-    w: int,
-) -> Optional[np.ndarray]:
-    """One 0/1 program via scipy/HiGHS; None when provably infeasible."""
-    milp, LinearConstraint, Bounds = spec
-    lo = np.zeros(w)
-    if forced:
-        lo[list(forced)] = 1.0
-    with _quiet_fd1():
-        res = milp(
-            c=-values,  # milp minimizes; we maximize
-            constraints=[LinearConstraint(rows, lb, ub)] if rows.size else [],
-            integrality=np.ones(w),
-            bounds=Bounds(lo, np.ones(w)),
-            # HiGHS's default 1e-4 relative gap would break exactness.
-            options={"mip_rel_gap": 0.0},
-        )
-    if res.status == 2:  # proven infeasible
-        return None
-    if res.status != 0 or res.x is None:
-        raise _BackendFailure(f"scipy milp status {res.status}: {res.message}")
-    genes = (res.x > 0.5).astype(np.uint8)
-    if rows.size:
-        act = rows @ genes.astype(float)
-        if (act > ub + _TOL).any() or (act < lb - _TOL).any():
-            # HiGHS tolerances are looser than the problem's 1e-9; a
-            # rounded solution that leaks over a row is re-solved exactly.
-            raise _BackendFailure("scipy solution violates a row at 1e-9")
-    return genes
-
-
-def _python_solve(
+def _branch_and_bound(
     values: np.ndarray,
     rows: np.ndarray,
     lb: np.ndarray,
@@ -349,9 +261,7 @@ def _python_solve(
         nodes += 1
         if nodes > node_budget:
             raise SolverError(
-                f"branch-and-bound exceeded its {node_budget}-node budget "
-                f"(w={w}); loosen the instance or install scipy "
-                "(pip install 'repro[milp]')"
+                f"branch-and-bound exceeded its {node_budget}-node budget (w={w})"
             )
         for r, srow in suffix_rows:
             if act[r] + srow[i] < lb_l[r] - _TOL:
@@ -490,42 +400,14 @@ class _LevelTables:
 
 
 class MILPWindowSolver(WindowSolver):
-    """Exact 0/1-program window solver (scipy HiGHS or pure-Python B&B).
-
-    Parameters
-    ----------
-    backend:
-        ``"auto"`` (scipy when installed, else pure Python), ``"scipy"``
-        (raise :class:`ConfigurationError` when scipy is missing), or
-        ``"python"`` (always the built-in branch-and-bound).
-    max_solves:
-        Cap on phase-2 0/1 programs per ε-constraint front sweep (levels
-        answered by the DP skip/reconstruct fast paths are free), so
-        degenerate instances fail loudly instead of spinning.
-    node_budget:
-        Branch-and-bound node cap per 0/1 program (python backend).
-    """
+    """Exact 0/1-program window solver (level DP plus branch-and-bound)."""
 
     name = "milp"
     exact = True
 
-    def __init__(
-        self,
-        backend: str = "auto",
-        *,
-        max_solves: int = 10_000,
-        node_budget: int = 2_000_000,
-    ) -> None:
-        if backend not in ("auto", "scipy", "python"):
-            raise ConfigurationError(
-                f"backend must be auto, scipy, or python, got {backend!r}"
-            )
-        self.backend = backend
-        self.max_solves = max_solves
-        self.node_budget = node_budget
-        #: Per-instance counters: programs solved per backend, plus how
-        #: often a scipy answer had to be re-solved in pure Python.
-        self.stats = {"solves": 0, "scipy": 0, "python": 0, "scipy_fallbacks": 0}
+    def __init__(self) -> None:
+        #: Per-instance counter: 0/1 programs handed to the solver.
+        self.stats = {"solves": 0}
 
     def supports(self, problem: MOOProblem) -> bool:
         # SSDSelectionProblem (§5) is NOT linear: its waste objective and
@@ -542,20 +424,6 @@ class MILPWindowSolver(WindowSolver):
             )
         return problem
 
-    def _resolve_backend(self) -> str:
-        if self.backend == "python":
-            return "python"
-        spec = _load_scipy_milp()
-        if self.backend == "scipy":
-            if spec is None:
-                raise ConfigurationError(
-                    "MILP backend 'scipy' requested but scipy is not "
-                    "installed; pip install 'repro[milp]' or use "
-                    "backend='python'"
-                )
-            return "scipy"
-        return "scipy" if spec is not None else "python"
-
     def _solve_binary(
         self,
         values: np.ndarray,
@@ -564,51 +432,22 @@ class MILPWindowSolver(WindowSolver):
         ub: np.ndarray,
         forced: Sequence[int],
         w: int,
-        prefer: Optional[str] = None,
-        node_budget: Optional[int] = None,
+        node_budget: int = _NODE_BUDGET,
     ) -> Optional[np.ndarray]:
-        """One 0/1 program; returns an optimal gene vector or None.
-
-        ``prefer="python"`` is set for the exact-node-total *box* programs
-        of the level decomposition: their integral lower-bounded row turns
-        on the branch-and-bound's bitset reachability prune, which beats
-        HiGHS on them by orders of magnitude.  The configured backend
-        still governs general free programs and serves as the fallback
-        when a preferred solve exhausts its node budget.
-        """
+        """One 0/1 program; returns an optimal gene vector or None."""
         self.stats["solves"] += 1
-        budget = self.node_budget if node_budget is None else node_budget
         if w == 0:
             # rows is (m, 0): every activity is 0, so each row needs
             # lb ≤ 0 ≤ ub (empty arrays pass vacuously).
             ok = bool((lb <= _TOL).all() and (ub >= -_TOL).all())
             return np.zeros(0, dtype=np.uint8) if ok else None
-        backend = self._resolve_backend()
-        if prefer == "python" and backend == "scipy":
-            try:
-                genes = _python_solve(values, rows, lb, ub, forced, w, budget)
-                self.stats["python"] += 1
-                return genes
-            except SolverError:
-                pass  # node budget exhausted: hand the program to HiGHS
-        if backend == "scipy":
-            try:
-                genes = _scipy_solve(_load_scipy_milp(), values, rows, lb, ub, forced, w)
-                self.stats["scipy"] += 1
-                return genes
-            except _BackendFailure:
-                self.stats["scipy_fallbacks"] += 1
-        self.stats["python"] += 1
-        return _python_solve(values, rows, lb, ub, forced, w, budget)
+        return _branch_and_bound(values, rows, lb, ub, forced, w, node_budget)
 
     def solve_scalar(
         self, problem: MOOProblem, coeffs: Sequence[float], seed: SeedLike = None
     ) -> ScalarSolution:
         """Exact ``max coeffs·F(x)``; ``seed`` accepted and ignored."""
         problem = self._require_support(problem)
-        # Resolve up front so backend="scipy" without scipy fails loudly
-        # even when the DP fast paths could answer without a 0/1 program.
-        self._resolve_backend()
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (problem.n_objectives,):
             raise SolverError(
@@ -641,7 +480,6 @@ class MILPWindowSolver(WindowSolver):
         self,
         problem: SelectionProblem,
         coeffs: np.ndarray,
-        tables: Optional["_LevelTables"] = None,
     ) -> ScalarSolution:
         """``max c1·f1 + c2·f2`` via the node-total decomposition.
 
@@ -657,10 +495,9 @@ class MILPWindowSolver(WindowSolver):
         d2 = problem.demands[:, 1]
         cap_ub = problem.capacities.astype(float)
         cap_bb = float(cap_ub[1])
-        if tables is None:
-            tables = _LevelTables(
-                np.round(d1).astype(np.int64), d2, cap_ub[0], cap_bb, problem.forced
-            )
+        tables = _LevelTables(
+            np.round(d1).astype(np.int64), d2, cap_ub[0], cap_bb, problem.forced
+        )
         if tables.levels.size == 0:
             raise SolverError("selection problem is infeasible (forced rows?)")
         levels = tables.levels
@@ -683,16 +520,14 @@ class MILPWindowSolver(WindowSolver):
                 sol = tables.reconstruct(level)
             else:
                 solves += 1
-                if solves > self.max_solves:
+                if solves > _MAX_SOLVES:
                     raise SolverError(
-                        f"scalar level search exceeded max_solves="
-                        f"{self.max_solves} programs (w={problem.w})"
+                        f"scalar level search exceeded {_MAX_SOLVES} "
+                        f"programs (w={problem.w})"
                     )
                 lo = np.array([-np.inf, -np.inf, float(level) - 0.5])
                 hi = np.append(cap_ub, float(level) + 0.5)
-                sol = self._solve_binary(
-                    d2, rows, lo, hi, problem.forced, problem.w, prefer="python"
-                )
+                sol = self._solve_binary(d2, rows, lo, hi, problem.forced, problem.w)
                 if sol is None:  # cannot happen: the DP proved it feasible
                     raise SolverError("scalar level program infeasible (solver bug)")
             objectives = problem.evaluate(sol[None, :])[0]
@@ -708,7 +543,6 @@ class MILPWindowSolver(WindowSolver):
         RNG stream, so a MILP yardstick beside a GA run cannot perturb it).
         """
         problem = self._require_support(problem)
-        self._resolve_backend()  # fail fast on backend="scipy" without scipy
         if problem.n_objectives != 2:
             raise SolverError(
                 "the ε-constraint front sweep handles exactly 2 objectives, "
@@ -749,10 +583,10 @@ class MILPWindowSolver(WindowSolver):
                 cap_ub,
                 problem.forced,
                 problem.w,
-                node_budget=min(self.node_budget, 200_000),
+                node_budget=200_000,
             )
         except SolverError:
-            # The pure-Python B&B can time out on this free program
+            # The branch-and-bound can time out on this free program
             # (maximizing f2 against its own constraint row is a
             # subset-sum); the sweep is still exact without the break.
             star = None
@@ -776,20 +610,17 @@ class MILPWindowSolver(WindowSolver):
                 sol = tables.reconstruct(int(level))
             else:
                 solves += 1
-                if solves > self.max_solves:
+                if solves > _MAX_SOLVES:
                     raise SolverError(
-                        f"ε-constraint sweep exceeded max_solves="
-                        f"{self.max_solves} phase-2 programs (w={problem.w}); "
-                        "raise max_solves or use solve_scalar"
+                        f"ε-constraint sweep exceeded {_MAX_SOLVES} phase-2 "
+                        f"programs (w={problem.w}); use solve_scalar"
                     )
                 # Phase 2: max f2 at exactly this node total.  Node
                 # demands are integral, so "f1 = level" is the box
                 # [level ± 0.5] — no float equality constraint needed.
                 lo = np.array([-np.inf, -np.inf, float(level) - 0.5])
                 hi = np.append(cap_ub, float(level) + 0.5)
-                sol = self._solve_binary(
-                    d2, rows, lo, hi, problem.forced, problem.w, prefer="python"
-                )
+                sol = self._solve_binary(d2, rows, lo, hi, problem.forced, problem.w)
                 if sol is None:  # cannot happen: the DP proved it feasible
                     raise SolverError("ε-constraint phase 2 infeasible (solver bug)")
             objectives = problem.evaluate(sol[None, :])[0]

@@ -4,13 +4,13 @@
 method: the registry constructs the solver from the run's GA knobs (which
 GA-backed solvers consume and exact solvers ignore) and the selectors
 treat it as an opaque :class:`~repro.solvers.base.WindowSolver`.  Adding
-a solver family (an RL policy à la MRSch, a different exact backend) is
+a solver family (an RL policy à la MRSch, a different exact method) is
 one class plus one registry row.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..core.ga import DEFAULT_GENERATIONS, DEFAULT_MUTATION, DEFAULT_POPULATION
 from ..errors import ConfigurationError
@@ -54,14 +54,12 @@ def make_window_solver(
     mutation: float = DEFAULT_MUTATION,
     selection: str = "age",
     eval_cache: bool = True,
-    backend: str = "auto",
 ) -> WindowSolver:
     """Construct a registered solver from the run's knobs.
 
     GA knobs (``generations`` … ``eval_cache``) configure GA-backed
-    solvers and are ignored by exact ones; ``backend`` picks the MILP
-    engine.  Unknown names raise :class:`ConfigurationError` listing the
-    registered choices.
+    solvers and are ignored by exact ones.  Unknown names raise
+    :class:`ConfigurationError` listing the registered choices.
     """
     if name not in _REGISTRY:
         raise ConfigurationError(
@@ -75,7 +73,6 @@ def make_window_solver(
         mutation=mutation,
         selection=selection,
         eval_cache=eval_cache,
-        backend=backend,
     )
 
 
@@ -85,7 +82,6 @@ def _ga_factory(
     mutation: float = DEFAULT_MUTATION,
     selection: str = "age",
     eval_cache: bool = True,
-    backend: str = "auto",
 ) -> WindowSolver:
     return GAWindowSolver(
         generations=generations,
@@ -102,7 +98,6 @@ def _scalar_factory(
     mutation: float = DEFAULT_MUTATION,
     selection: str = "age",
     eval_cache: bool = True,
-    backend: str = "auto",
 ) -> WindowSolver:
     return ScalarGAWindowSolver(
         generations=generations,
@@ -113,8 +108,8 @@ def _scalar_factory(
     )
 
 
-def _milp_factory(backend: str = "auto", **_ga_knobs) -> WindowSolver:
-    return MILPWindowSolver(backend=backend)
+def _milp_factory(**_ga_knobs) -> WindowSolver:
+    return MILPWindowSolver()
 
 
 def _exhaustive_factory(**_knobs) -> WindowSolver:
@@ -134,7 +129,7 @@ register_window_solver(
 register_window_solver(
     "milp",
     _milp_factory,
-    "exact 0/1 integer programming (scipy/HiGHS or built-in B&B)",
+    "exact 0/1 integer programming (level DP plus branch-and-bound)",
 )
 register_window_solver(
     "exhaustive",

@@ -756,8 +756,11 @@ class TestConnectionHardening:
                     time.sleep(0.05)
             assert held is not None, "could not claim the connection slot"
             try:
+                # The daemon sheds before reading a byte: it writes the
+                # 503 and closes, so a ping sent first can hit EPIPE.
+                # Read the reply without sending.
                 second = self._connect(h.socket_path)
-                shed = ping_on(second)
+                shed = jsonlib.loads(second.makefile("rb").readline())
                 second.close()
                 assert shed["code"] == 503
                 assert not shed["ok"]

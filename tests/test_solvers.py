@@ -3,13 +3,10 @@
 The load-bearing guarantee is exactness: the MILP solver must reproduce
 the exhaustive solver's true Pareto front bit-for-bit on every window it
 both can solve (w ≤ 12 here, across Cori- and Theta-like scales), and
-must keep solving where exhaustive refuses (w = 30 > MAX_EXHAUSTIVE_W).
-Both MILP backends — scipy/HiGHS and the pure-Python branch-and-bound —
-are held to the same standard, so the ``repro[milp]`` extra changes
-speed, never answers.
+must keep solving where exhaustive refuses (w = 30 > MAX_EXHAUSTIVE_W),
+where its optima and front are pinned.  End to end, the schedules that
+``--solver milp`` produces are pinned by fingerprint digest.
 """
-
-import importlib.util
 
 import numpy as np
 import pytest
@@ -33,20 +30,7 @@ from repro.solvers import (
     register_window_solver,
     solver_matrix,
 )
-from repro.solvers import milp as milp_mod
 from repro.solvers import registry as solver_registry
-
-def _scipy_available():
-    try:
-        return importlib.util.find_spec("scipy") is not None
-    except Exception:  # a broken/blocked scipy install counts as absent
-        return False
-
-
-HAS_SCIPY = _scipy_available()
-
-#: Backends every exactness test runs under on this machine.
-BACKENDS = ("scipy", "python") if HAS_SCIPY else ("python",)
 
 #: Scalarization directions exercised against each instance.
 COEFF_SETS = (
@@ -150,40 +134,37 @@ SCALES = (
 
 
 class TestMILPMatchesExhaustive:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("label,total_nodes,total_bb", SCALES)
-    def test_exact_front_all_small_widths(self, backend, label, total_nodes, total_bb):
+    def test_exact_front_all_small_widths(self, label, total_nodes, total_bb):
         exhaustive = ExhaustiveWindowSolver()
-        milp = MILPWindowSolver(backend=backend)
-        rng = np.random.default_rng(hash((backend, label)) & 0xFFFF)
+        milp = MILPWindowSolver()
+        rng = np.random.default_rng(hash(label) & 0xFFFF)
         for w in range(1, 13):
             problem = random_problem(rng, w, total_nodes=total_nodes, total_bb=total_bb)
             want = front_as_set(exhaustive.solve(problem))
             got = front_as_set(milp.solve(problem))
-            assert got == want, f"front mismatch at w={w} ({label}/{backend})"
+            assert got == want, f"front mismatch at w={w} ({label})"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("label,total_nodes,total_bb", SCALES)
-    def test_exact_scalar_all_small_widths(self, backend, label, total_nodes, total_bb):
+    def test_exact_scalar_all_small_widths(self, label, total_nodes, total_bb):
         exhaustive = ExhaustiveWindowSolver()
-        milp = MILPWindowSolver(backend=backend)
-        rng = np.random.default_rng(hash((backend, label, "s")) & 0xFFFF)
+        milp = MILPWindowSolver()
+        rng = np.random.default_rng(hash((label, "s")) & 0xFFFF)
         for w in range(1, 13):
             problem = random_problem(rng, w, total_nodes=total_nodes, total_bb=total_bb)
             for coeffs in COEFF_SETS:
                 want = exhaustive.solve_scalar(problem, coeffs).fitness
                 got = milp.solve_scalar(problem, coeffs).fitness
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (
-                    f"scalar mismatch at w={w} coeffs={coeffs} ({label}/{backend})"
+                    f"scalar mismatch at w={w} coeffs={coeffs} ({label})"
                 )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_forced_genes_honoured(self, backend):
+    def test_forced_genes_honoured(self):
         rng = np.random.default_rng(11)
         problem = random_problem(
             rng, 10, total_nodes=2_000, total_bb=10_000.0, forced=(2, 5)
         )
-        milp = MILPWindowSolver(backend=backend)
+        milp = MILPWindowSolver()
         front = milp.solve(problem)
         assert (front.genes[:, [2, 5]] == 1).all()
         best = milp.solve_scalar(problem, (1.0, 1.0))
@@ -223,33 +204,32 @@ class TestBeyondExhaustiveWall:
         with pytest.raises(SolverError, match="26"):
             ExhaustiveWindowSolver().solve(self._w30())
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_milp_scalar_solves_w30(self, backend):
+    def test_milp_scalar_solves_w30(self):
         problem = self._w30()
-        best = MILPWindowSolver(backend=backend).solve_scalar(problem, (1.0, 1.0))
+        best = MILPWindowSolver().solve_scalar(problem, (1.0, 1.0))
         assert problem.feasible(best.genes[None, :]).all()
         # The scalar optimum dominates any greedy seed's value.
         greedy = problem.greedy_chromosomes()
         greedy_best = float((problem.evaluate(greedy) @ np.ones(2)).max())
         assert best.fitness >= greedy_best - 1e-9
 
-    def test_backends_agree_at_w30(self):
-        if not HAS_SCIPY:
-            pytest.skip("needs both backends")
+    def test_milp_scalar_optima_pinned_at_w30(self):
         problem = self._w30()
-        for coeffs in COEFF_SETS:
-            a = MILPWindowSolver(backend="scipy").solve_scalar(problem, coeffs).fitness
-            b = MILPWindowSolver(backend="python").solve_scalar(problem, coeffs).fitness
-            assert a == pytest.approx(b, rel=1e-9, abs=1e-6)
+        optima = (658364.0, 6296.0, 652076.0, 200024.4)
+        for coeffs, optimum in zip(COEFF_SETS, optima):
+            got = MILPWindowSolver().solve_scalar(problem, coeffs).fitness
+            assert got == pytest.approx(optimum, rel=1e-9), coeffs
 
-    @pytest.mark.skipif(not HAS_SCIPY, reason="w=30 front sweep needs scipy speed")
     def test_milp_front_solves_w30(self):
         problem = self._w30()
-        front = MILPWindowSolver(backend="scipy").solve(problem)
-        assert len(front) >= 1
+        front = MILPWindowSolver().solve(problem)
         assert problem.feasible(front.genes).all()
-        # Front must be mutually non-dominated.
         objs = np.asarray(front.objectives, dtype=float)
+        assert sorted(map(tuple, objs.tolist()), reverse=True) == [
+            (6296.0, 634110.0),
+            (6288.0, 652076.0),
+        ]
+        # Front must be mutually non-dominated.
         for i in range(len(objs)):
             dominated = (objs >= objs[i] - 1e-9).all(axis=1) & (
                 objs > objs[i] + 1e-9
@@ -258,33 +238,27 @@ class TestBeyondExhaustiveWall:
 
 
 # ---------------------------------------------------------------------------
-# Backend resolution and the milp extra
+# Free 0/1 programs and counters
 # ---------------------------------------------------------------------------
 
 
 class TestBackends:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            MILPWindowSolver(backend="gurobi")
+    """Programs the level DP cannot answer reach the branch-and-bound.
 
-    def test_scipy_requested_but_missing(self, monkeypatch):
-        monkeypatch.setattr(milp_mod, "_load_scipy_milp", lambda: None)
-        solver = MILPWindowSolver(backend="scipy")
-        with pytest.raises(ConfigurationError, match=r"repro\[milp\]"):
-            solver.solve_scalar(SelectionProblem(np.ones((2, 2)), [5.0, 5.0]), (1, 1))
+    The names date from when a scipy backend sat in front of it; they are
+    kept so the test ids stay stable.
+    """
 
-    def test_auto_falls_back_to_python(self, monkeypatch):
-        monkeypatch.setattr(milp_mod, "_load_scipy_milp", lambda: None)
-        solver = MILPWindowSolver(backend="auto")
+    def test_auto_falls_back_to_python(self):
         # Non-integral node demands bypass the DP level decomposition and
-        # force an actual 0/1 program through the resolved backend.
+        # force an actual 0/1 program through the branch-and-bound.
+        solver = MILPWindowSolver()
         rng = np.random.default_rng(5)
         demands = rng.random((8, 2)) * 10.0 + 0.1
         problem = SelectionProblem(demands, [25.0, 25.0])
         want = ExhaustiveWindowSolver().solve_scalar(problem, (1.0, 1.0)).fitness
         got = solver.solve_scalar(problem, (1.0, 1.0))
         assert got.fitness == pytest.approx(want, rel=1e-9)
-        assert solver.stats["python"] > 0 and solver.stats["scipy"] == 0
 
     def test_stats_counters_move(self):
         solver = MILPWindowSolver()
@@ -294,13 +268,32 @@ class TestBackends:
         solver.solve_scalar(problem, (1.0, 1.0))
         assert solver.stats["solves"] >= 1
 
-    def test_milp_extra_declared(self):
-        # The packaging satellite: `pip install repro[milp]` must exist.
-        import pathlib
-        import re
 
-        text = (pathlib.Path(__file__).parent.parent / "pyproject.toml").read_text()
-        assert re.search(r"^milp\s*=\s*\[\s*\"scipy", text, re.M)
+# ---------------------------------------------------------------------------
+# End-to-end: pinned --solver milp schedules
+# ---------------------------------------------------------------------------
+
+
+#: fingerprint_digest of run_one(W, "BBSched", S, seed=0, solver="milp").
+MILP_RUN_DIGESTS = {
+    ("Theta-S4", "smoke"): "d08ffed47148ec18fb22999977126cf534115fb586058c74e68fe7bbcc487e27",
+    ("Cori-S4", "smoke"): "a3b873aadfc6e795297982c8d5fbc7cb963df9202bf48e255ecb365556d3e3ca",
+    ("Theta-S4", "default"): "844d52f657bb50ce150c5e5702708a66d6f6cbf8bdb41d08a5509707af40d578",
+    ("Cori-S4", "default"): "e9fe8225daccf664a1b16d183039a40536dd8c82089c7f294ee2e1823778f77b",
+}
+
+
+@pytest.mark.parametrize("workload,scale_name", sorted(MILP_RUN_DIGESTS))
+def test_milp_schedules_pinned(workload, scale_name):
+    from repro.checkpoint.verify import fingerprint_digest
+    from repro.experiments.config import get_scale
+    from repro.experiments.runner import run_one
+    from repro.experiments.workloads import get_workload
+
+    scale = get_scale(scale_name)
+    result = run_one(get_workload(workload, scale), "BBSched", scale, seed=0,
+                     solver="milp")
+    assert fingerprint_digest(result) == MILP_RUN_DIGESTS[workload, scale_name]
 
 
 # ---------------------------------------------------------------------------
