@@ -61,6 +61,34 @@ def random_problem(rng, w, *, total_nodes, total_bb, cap_frac=0.6, forced=()):
     )
 
 
+#: Independent references a solver's scalar optimum is checked against:
+#: the pure-Python exhaustive solver, and HiGHS via scipy.optimize.milp
+#: (a test-only oracle; the solver itself never imports scipy).
+REFERENCES = ("python", "scipy")
+
+
+def reference_optimum(reference, problem, coeffs):
+    """The best ``coeffs``-weighted value of ``problem``, per ``reference``."""
+    if reference == "python":
+        return ExhaustiveWindowSolver().solve_scalar(problem, coeffs).fitness
+    optimize = pytest.importorskip("scipy.optimize")
+    lower = np.zeros(problem.w)
+    lower[list(problem.forced)] = 1.0
+    res = optimize.milp(
+        c=-(problem.demands @ np.asarray(coeffs, dtype=float)),
+        constraints=[optimize.LinearConstraint(
+            problem.demands.T, -np.inf, problem.capacities)],
+        integrality=np.ones(problem.w),
+        bounds=optimize.Bounds(lower, np.ones(problem.w)),
+        # HiGHS's default 1e-4 relative gap would stop short of the optimum.
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status == 0, res.message
+    genes = (res.x > 0.5).astype(np.uint8)[None, :]
+    assert problem.feasible(genes).all()
+    return float(problem.evaluate(genes)[0] @ np.asarray(coeffs, dtype=float))
+
+
 def front_as_set(pareto):
     return {tuple(np.round(row, 6)) for row in np.asarray(pareto.objectives, dtype=float)}
 
@@ -159,7 +187,8 @@ class TestMILPMatchesExhaustive:
                     f"scalar mismatch at w={w} coeffs={coeffs} ({label})"
                 )
 
-    def test_forced_genes_honoured(self):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_forced_genes_honoured(self, reference):
         rng = np.random.default_rng(11)
         problem = random_problem(
             rng, 10, total_nodes=2_000, total_bb=10_000.0, forced=(2, 5)
@@ -169,8 +198,9 @@ class TestMILPMatchesExhaustive:
         assert (front.genes[:, [2, 5]] == 1).all()
         best = milp.solve_scalar(problem, (1.0, 1.0))
         assert best.genes[2] == 1 and best.genes[5] == 1
-        want = ExhaustiveWindowSolver().solve_scalar(problem, (1.0, 1.0)).fitness
-        assert best.fitness == pytest.approx(want, rel=1e-9)
+        assert best.fitness == pytest.approx(
+            reference_optimum(reference, problem, (1.0, 1.0)), rel=1e-9
+        )
 
     def test_empty_window(self):
         problem = SelectionProblem(np.zeros((0, 2)), [10.0, 10.0])
@@ -204,14 +234,21 @@ class TestBeyondExhaustiveWall:
         with pytest.raises(SolverError, match="26"):
             ExhaustiveWindowSolver().solve(self._w30())
 
-    def test_milp_scalar_solves_w30(self):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_milp_scalar_solves_w30(self, reference):
         problem = self._w30()
         best = MILPWindowSolver().solve_scalar(problem, (1.0, 1.0))
         assert problem.feasible(best.genes[None, :]).all()
-        # The scalar optimum dominates any greedy seed's value.
-        greedy = problem.greedy_chromosomes()
-        greedy_best = float((problem.evaluate(greedy) @ np.ones(2)).max())
-        assert best.fitness >= greedy_best - 1e-9
+        if reference == "python":
+            # Exhaustive refuses w=30; the scalar optimum must still
+            # dominate any greedy seed's value.
+            greedy = problem.greedy_chromosomes()
+            greedy_best = float((problem.evaluate(greedy) @ np.ones(2)).max())
+            assert best.fitness >= greedy_best - 1e-9
+        else:
+            assert best.fitness == pytest.approx(
+                reference_optimum(reference, problem, (1.0, 1.0)), rel=1e-9
+            )
 
     def test_milp_scalar_optima_pinned_at_w30(self):
         problem = self._w30()
