@@ -29,7 +29,7 @@ JOBS = [  # the Table 1 queue — same window Figure 3's chromosomes select over
 
 
 class NarratingSolver(MOGASolver):
-    """MOGASolver that prints the surviving population each generation."""
+    """MOGASolver that prints each generation's unique survivors."""
 
     def __init__(self, problem, every=1, **kw):
         super().__init__(**kw)
@@ -37,8 +37,8 @@ class NarratingSolver(MOGASolver):
         self._every = every
         self._generation = 0
 
-    def _survive(self, pool, rng):
-        population = super()._survive(pool, rng)
+    def _survive(self, pool):
+        population = super()._survive(pool)
         if self._generation % self._every == 0:
             genes = unpack_genes([bits for bits, _, _ in population], self._problem.w)
             F = np.array([obj for _, _, obj in population])

@@ -22,8 +22,9 @@ switches to NSGA-II-style crowding-distance selection for comparison.
 With the evaluation cache on (the default) each chromosome is a Python int
 with gene ``i`` at bit ``i``, and the population is a list of ``(bits,
 age, objectives)`` members: crossover is two masks, repair clears set bits,
-and survivor selection is a few list passes, so a generation costs about
-four RNG calls plus list code.  Only rows the cache has not seen are
+and survivor selection is a few list passes, so a generation costs one
+``integers`` call (padding, parents, cuts), one ``random`` call, a draw
+per gene repair clears, and list code.  Only rows the cache has not seen are
 unpacked to a uint8 matrix for the problem's numpy kernels.  With
 ``eval_cache=False`` the population is a ``(P, w)`` uint8 matrix and every
 operator is a numpy call: that path is the reference the differential
@@ -33,6 +34,7 @@ tests compare the cached loop against, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -107,15 +109,18 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
 Member = Tuple[int, int, Optional[Objectives]]
 
 
-def _front_2d(objs: Sequence[Objectives]) -> List[bool]:
-    """Two-objective Pareto mask over Python tuples, by sort-and-scan.
+def _front(objs: Sequence[Objectives]) -> List[bool]:
+    """Pareto mask over objective tuples, the same as
+    :func:`~repro.core.pareto.non_dominated_mask`, duplicates included.
 
-    The same mask as :func:`~repro.core.pareto.non_dominated_mask`
-    (:func:`~repro.core.pareto.pareto_front_2d`), duplicates included:
-    walking the rows by descending ``(f1, f2)``, a row is on the front
-    when its ``f2`` beats every earlier ``f2``, and an exact duplicate
-    shares the decision of the first row of its run.
+    Two objectives take a sort-and-scan
+    (:func:`~repro.core.pareto.pareto_front_2d`): walking the rows by
+    descending ``(f1, f2)``, a row is on the front when its ``f2`` beats
+    every earlier ``f2``, and an exact duplicate shares the decision of
+    the first row of its run.
     """
+    if len(objs[0]) != 2:
+        return non_dominated_mask(np.array(objs)).tolist()
     mask = [False] * len(objs)
     best = -np.inf
     prev = None
@@ -129,6 +134,19 @@ def _front_2d(objs: Sequence[Objectives]) -> List[bool]:
                 best = obj[1]
         mask[i] = on
     return mask
+
+
+@lru_cache(maxsize=1024)
+def _draw_bounds(P: int, k: int, w: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Bounds of a cached generation's ``integers`` call: pads, parents, cuts.
+    Read-only, because every caller shares them."""
+    pairs, short = (P + 1) // 2, P - k
+    n_cuts = pairs if w >= 2 else 0
+    bounds = (np.array([0] * (short + 2 * pairs) + [1] * n_cuts, dtype=np.int64),
+              np.array([k] * short + [P] * (2 * pairs) + [w] * n_cuts, dtype=np.int64))
+    for a in bounds:
+        a.setflags(write=False)
+    return bounds
 
 
 class MOGASolver:
@@ -352,7 +370,7 @@ class MOGASolver:
     def _solve_reference(
         self, problem: MOOProblem, rng: np.random.Generator, tracer
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Final population and its objectives, evaluating everything."""
+        """Unique Pareto rows of the final population, evaluating everything."""
         genes = problem.random_population(self.population, rng)
         forced = list(problem.forced)
         if self.seed_greedy:
@@ -368,38 +386,47 @@ class MOGASolver:
         for gen in range(self.generations):
             with tracer.span("ga_generation", gen=gen) if tracer.fine else NULL_SPAN:
                 genes, ages = self._evolve_once(problem, genes, ages, forced, rng)
-        return genes, problem.evaluate(genes)
+        objectives = problem.evaluate(genes)
+        front = non_dominated_mask(objectives)
+        return unique_front(genes[front], objectives[front])
 
     # --- cached path: bit-packed operators on lists of members -----------------
-    # Each operator draws from ``rng`` with exactly the calls, shapes and
-    # dtypes of its reference twin above, in the same order, so both paths
-    # return byte-identical populations (pinned by the differential tests).
+    # Each operator draws the same bit-generator words as its reference twin, in
+    # order (calls merge where numpy's bounded sampler draws per element, as
+    # tests/test_rng.py pins), so both paths give byte-identical populations.
     def _crossover_bits(
-        self, parents: List[int], w: int, rng: np.random.Generator
-    ) -> List[int]:
-        """Single-point crossover on packed chromosomes → ``P`` children."""
-        P = len(parents)
-        pairs = (P + 1) // 2
-        mothers = [parents[i] for i in rng.integers(0, P, size=pairs).tolist()]
-        fathers = [parents[i] for i in rng.integers(0, P, size=pairs).tolist()]
+        self, population: List[Member], w: int, rng: np.random.Generator
+    ) -> Tuple[List[Member], List[int]]:
+        """Pad ``population`` to ``P`` (as :meth:`_survivors` does), then cross
+        it over → (parents, children), all from one ``integers`` call."""
+        P = self.population
+        pairs, short = (P + 1) // 2, P - len(population)
+        draws = rng.integers(*_draw_bounds(P, len(population), w)).tolist()
+        parents = population + [population[j] for j in draws[:short]]
+        mothers = [parents[i][0] for i in draws[short : short + pairs]]
+        fathers = [parents[i][0] for i in draws[short + pairs : short + 2 * pairs]]
         if w < 2:
-            return (mothers + fathers)[:P]
+            return parents, (mothers + fathers)[:P]
         # Genes below the cut come from the first parent of the child.
-        lows = [(1 << cut) - 1 for cut in rng.integers(1, w, size=pairs).tolist()]
+        lows = [(1 << cut) - 1 for cut in draws[short + 2 * pairs :]]
         child_a = [(m & low) | (f & ~low) for m, f, low in zip(mothers, fathers, lows)]
         child_b = [(f & low) | (m & ~low) for m, f, low in zip(mothers, fathers, lows)]
-        return (child_a + child_b)[:P]
+        return parents, (child_a + child_b)[:P]
 
     def _mutate_bits(
         self, children: List[int], w: int, rng: np.random.Generator
     ) -> List[int]:
-        """Independent per-gene bit flips with probability ``p_m``."""
+        """Independent per-gene bit flips with probability ``p_m``, in place,
+        from the reference's ``(n, w)`` draw, flattened."""
         if self.mutation == 0.0:
             return children
-        flips = rng.random((len(children), w)) < self.mutation
-        if not flips.any():
+        draws = rng.random(len(children) * w)
+        if draws.min() >= self.mutation:
             return children
-        return [bits ^ flip for bits, flip in zip(children, pack_genes(flips))]
+        for i in np.flatnonzero(draws < self.mutation).tolist():
+            row, gene = divmod(i, w)
+            children[row] ^= 1 << gene
+        return children
 
     @staticmethod
     def _repair_bits(
@@ -412,9 +439,9 @@ class MOGASolver:
         """Repair ``rows`` in place, as :meth:`MOOProblem.repair` does.
 
         Each round clears, in every infeasible row in row order, one set
-        non-forced bit picked by ``rng.integers(0, n, dtype=np.int64)``
-        among the ``n`` such bits in ascending gene order, then re-checks
-        those rows.
+        non-forced bit picked by ``rng.integers(0, n)`` (the reference's
+        ``dtype=np.int64`` draw: int64 is the default) among the ``n`` such
+        bits in ascending gene order, then re-checks those rows.
         """
         free = ~forced_bits
         bad = cache.infeasible(problem, rows, list(range(len(rows))))
@@ -426,33 +453,27 @@ class MOGASolver:
                     raise SolverError(
                         "cannot repair chromosome: forced genes alone are infeasible"
                     )
-                for _ in range(rng.integers(0, n, dtype=np.int64)):
+                for _ in range(rng.integers(0, n)):
                     clearable &= clearable - 1  # drop the lowest set bit
                 rows[i] ^= clearable & -clearable
             bad = cache.infeasible(problem, rows, bad)
 
-    def _select(self, objs: List[Objectives], rng: np.random.Generator) -> List[int]:
-        """Survivor rule → ``P`` indices into ``objs``.
+    def _select(self, objs: List[Objectives]) -> List[int]:
+        """Survivor rule → at most ``P`` indices into ``objs`` (unpadded).
 
         ``objs`` are the unique chromosomes' objective rows, youngest
         first, so index order is the reference path's stable age order.
         """
         P = self.population
-        if len(objs[0]) == 2:
-            front = _front_2d(objs)
-        else:
-            front = non_dominated_mask(np.array(objs)).tolist()
+        front = _front(objs)
         set1 = [j for j, on in enumerate(front) if on]
         set2 = [j for j, on in enumerate(front) if not on]
         if self.selection == "crowding":
             if len(set1) >= P:
-                keep = self._most_isolated(objs, set1, P)
-            else:
-                keep = set1 + self._most_isolated(objs, set2, P - len(set1))
-        else:
-            # Paper scheme: Set 1 passes, then Set 2, each newest first.
-            keep = (set1 + set2)[:P]
-        return self._pad(keep, rng)
+                return self._most_isolated(objs, set1, P)
+            return set1 + self._most_isolated(objs, set2, P - len(set1))
+        # Paper scheme: Set 1 passes, then Set 2, each newest first.
+        return (set1 + set2)[:P]
 
     @staticmethod
     def _most_isolated(objs: List[Objectives], idx: List[int], n: int) -> List[int]:
@@ -462,14 +483,7 @@ class MOGASolver:
         dist = crowding_distance(np.array([objs[j] for j in idx]))
         return [idx[j] for j in np.argsort(-dist, kind="stable")[:n].tolist()]
 
-    def _pad(self, keep: List[int], rng: np.random.Generator) -> List[int]:
-        """Recycle survivors (sampled with replacement) up to ``P``."""
-        short = self.population - len(keep)
-        if short > 0:
-            keep = keep + [keep[j] for j in rng.integers(0, len(keep), size=short).tolist()]
-        return keep
-
-    def _survive(self, pool: List[Member], rng: np.random.Generator) -> List[Member]:
+    def _survive(self, pool: List[Member]) -> List[Member]:
         """Next population: the youngest copy of each chromosome, then
         :meth:`_select` (same result as :meth:`_survivors`)."""
         seen = set()
@@ -478,7 +492,7 @@ class MOGASolver:
             if member[0] not in seen:
                 seen.add(member[0])
                 unique.append(member)
-        return [unique[j] for j in self._select([m[2] for m in unique], rng)]
+        return [unique[j] for j in self._select([m[2] for m in unique])]
 
     def _next_generation(
         self,
@@ -488,19 +502,19 @@ class MOGASolver:
         rng: np.random.Generator,
         cache: EvaluationCache,
     ) -> List[Member]:
-        """One cached generation: crossover → mutate → repair → selection."""
+        """One cached generation: pad + crossover → mutate → repair → selection."""
         w = problem.w
-        parents = [m[0] for m in population]
-        children = self._mutate_bits(self._crossover_bits(parents, w, rng), w, rng)
+        population, children = self._crossover_bits(population, w, rng)
+        children = self._mutate_bits(children, w, rng)
         if forced_bits:
             children = [bits | forced_bits for bits in children]
         self._repair_bits(problem, children, forced_bits, rng, cache)
-        rows = parents + children
+        rows = [m[0] for m in population] + children
         objs = cache.evaluate(
             problem, rows, [m[2] for m in population] + [None] * len(children)
         )
         ages = [m[1] + 1 for m in population] + [0] * len(children)
-        return self._survive(list(zip(rows, ages, objs)), rng)
+        return self._survive(list(zip(rows, ages, objs)))
 
     def _solve_cached(
         self,
@@ -509,7 +523,7 @@ class MOGASolver:
         tracer,
         cache: EvaluationCache,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Final population and its objectives, on packed chromosomes."""
+        """Unique Pareto rows of the final population, on packed chromosomes."""
         P, w = self.population, problem.w
         forced_bits = sum(1 << i for i in problem.forced)
         # The draws of problem.random_population, then its repair.
@@ -527,9 +541,17 @@ class MOGASolver:
                 population = self._next_generation(
                     problem, population, forced_bits, rng, cache
                 )
+        if len(population) < P:  # the reference's last pad draw
+            pad = rng.integers(0, len(population), size=P - len(population))
+            population += [population[j] for j in pad.tolist()]
         rows = [m[0] for m in population]
         objs = cache.evaluate(problem, rows, [m[2] for m in population])
-        return unpack_genes(rows, w), np.array(objs, dtype=float)
+        # unique_front's rows: the first copy of each chromosome on the front.
+        front: Dict[int, Objectives] = {}
+        for bits, obj, on in zip(rows, objs, _front(objs)):
+            if on:
+                front.setdefault(bits, obj)
+        return unpack_genes(list(front), w), np.array(list(front.values()), dtype=float)
 
     # --- main loop ---------------------------------------------------------------
     def solve(self, problem: MOOProblem, seed: SeedLike = None) -> ParetoSet:
@@ -564,16 +586,14 @@ class MOGASolver:
             # Per-generation spans are the highest-volume instrumentation in
             # the repo — emitted only under Tracer(fine=True).
             if cache is None:
-                genes, final_obj = self._solve_reference(problem, rng, tracer)
+                g, o = self._solve_reference(problem, rng, tracer)
             else:
                 before = cache.stats()
-                genes, final_obj = self._solve_cached(problem, rng, tracer, cache)
+                g, o = self._solve_cached(problem, rng, tracer, cache)
                 after = cache.stats()
                 solve_span.set(
                     cache_hits=after["hits"] - before["hits"],
                     cache_misses=after["misses"] - before["misses"],
                 )
-            front = non_dominated_mask(final_obj)
-            g, o = unique_front(genes[front], final_obj[front])
             solve_span.set(front=int(g.shape[0]))
         return ParetoSet(genes=g, objectives=o)

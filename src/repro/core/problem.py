@@ -207,6 +207,7 @@ class SelectionProblem(MOOProblem):
                 f"capacities shape {self.capacities.shape} does not match "
                 f"{self.demands.shape[1]} resources"
             )
+        self._limits = self.capacities + 1e-9
         self.w = int(self.demands.shape[0])
         self.n_objectives = int(self.demands.shape[1])
         self.forced = tuple(sorted(set(int(i) for i in forced)))
@@ -215,7 +216,7 @@ class SelectionProblem(MOOProblem):
                 raise SolverError(f"forced index {i} outside window of {self.w}")
         if self.forced:
             forced_demand = self.demands[list(self.forced)].sum(axis=0)
-            if (forced_demand > self.capacities + 1e-9).any():
+            if (forced_demand > self._limits).any():
                 raise SolverError("forced jobs alone exceed available capacity")
 
     @classmethod
@@ -236,26 +237,28 @@ class SelectionProblem(MOOProblem):
     def feasible(self, population: np.ndarray) -> np.ndarray:
         self.assert_shape(population)
         usage = _stable_matmul(population.astype(float), self.demands)
-        return (usage <= self.capacities + 1e-9).all(axis=1)
+        return (usage <= self._limits).all(axis=1)
 
     def greedy_chromosomes(self) -> np.ndarray:
-        """Linear-problem fast path: incremental capacity accounting."""
+        """Linear-problem fast path: incremental capacity accounting on Python
+        floats (exact as float64), rows ordered as ``np.unique(axis=0)``."""
         if self.w == 0:
             return np.zeros((0, 0), dtype=np.uint8)
-        orders = [np.arange(self.w)]
-        for k in range(self.n_objectives):
-            orders.append(np.argsort(-self.demands[:, k], kind="stable"))
-        seeds = []
+        demands, limits = self.demands.tolist(), self._limits.tolist()
+        orders = [range(self.w)]
+        for k in range(self.n_objectives):  # stable: ties keep window order
+            orders.append(sorted(range(self.w), key=lambda i: -demands[i][k]))
+        seeds = set()
         for order in orders:
-            genes = np.zeros(self.w, dtype=np.uint8)
-            used = np.zeros_like(self.capacities)
+            genes = [0] * self.w
+            used = [0.0] * len(limits)
             for i in order:
-                new = used + self.demands[i]
-                if (new <= self.capacities + 1e-9).all():
+                new = [u + d for u, d in zip(used, demands[i])]
+                if all(x <= c for x, c in zip(new, limits)):
                     genes[i] = 1
                     used = new
-            seeds.append(genes)
-        return np.unique(np.stack(seeds), axis=0)
+            seeds.add(tuple(genes))
+        return np.array(sorted(seeds), dtype=np.uint8)
 
 
 class SSDSelectionProblem(MOOProblem):

@@ -91,8 +91,8 @@ class ScalarGASolver(MOGASolver):
             keep = np.concatenate([keep, keep[pad]])
         return idx[keep]
 
-    def _select(self, objs, rng):
-        """Cached-loop twin of :meth:`_survivors`: the ``P`` fittest.
+    def _select(self, objs):
+        """Cached-loop twin of :meth:`_survivors`: the ``P`` fittest, unpadded.
 
         ``objs`` is youngest first and the sort is stable, so newer
         chromosomes win fitness ties, as with the reference's age key.
@@ -100,7 +100,7 @@ class ScalarGASolver(MOGASolver):
         self._check_objectives(len(objs[0]))
         fitness = (np.array(objs) @ self.coeffs).tolist()
         order = sorted(range(len(objs)), key=lambda j: -fitness[j])
-        return self._pad(order[: self.population], rng)
+        return order[: self.population]
 
     def best(self, problem: MOOProblem, seed: SeedLike = None) -> ScalarSolution:
         """Run the GA and return the single fittest solution found."""

@@ -223,6 +223,30 @@ class TestSolverDifferential:
         off = ScalarGASolver(coeffs, eval_cache=False, **kw)
         assert_pareto_identical(on.solve(problem), off.solve(problem))
 
+    @pytest.mark.parametrize("make", [
+        lambda kw: MOGASolver(**kw),
+        lambda kw: MOGASolver(selection="crowding", **kw),
+        lambda kw: ScalarGASolver([1.0, 0.5], **kw),
+    ], ids=["age", "crowding", "scalar"])
+    @pytest.mark.parametrize("generations", [0, 1, 12])
+    def test_shared_stream_ends_where_reference_ends(self, make, generations):
+        """One generator threaded through many solves, as the selector does:
+        each solve leaves the stream exactly where the reference leaves it,
+        so the last survivor padding is drawn even though no generation
+        follows it."""
+        rng = np.random.default_rng(12)
+        problems = [random_selection_problem(rng) for _ in range(4)]
+        streams = {flag: np.random.default_rng(99) for flag in (True, False)}
+        for problem in problems:
+            out = {}
+            for flag, stream in streams.items():
+                solver = make(dict(generations=generations, population=7,
+                                   mutation=0.05, eval_cache=flag))
+                out[flag] = solver.solve(problem, seed=stream)
+            assert_pareto_identical(out[True], out[False])
+            assert (streams[True].bit_generator.state
+                    == streams[False].bit_generator.state)
+
     def test_scalar_solver_rejects_wrong_objective_count(self):
         problem = wide_selection_problem(np.random.default_rng(1), 6)
         for eval_cache in (True, False):

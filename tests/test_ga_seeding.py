@@ -49,6 +49,67 @@ class TestGreedyChromosomes:
         assert problem.greedy_chromosomes().shape[0] == 0
 
 
+def numpy_greedy_chromosomes(problem):
+    """Oracle: the numpy form of ``SelectionProblem.greedy_chromosomes``
+    that the Python-float version replaced."""
+    if problem.w == 0:
+        return np.zeros((0, 0), dtype=np.uint8)
+    orders = [np.arange(problem.w)]
+    for k in range(problem.n_objectives):
+        orders.append(np.argsort(-problem.demands[:, k], kind="stable"))
+    seeds = []
+    for order in orders:
+        genes = np.zeros(problem.w, dtype=np.uint8)
+        used = np.zeros_like(problem.capacities)
+        for i in order:
+            new = used + problem.demands[i]
+            if (new <= problem.capacities + 1e-9).all():
+                genes[i] = 1
+                used = new
+        seeds.append(genes)
+    return np.unique(np.stack(seeds), axis=0)
+
+
+class TestGreedyOracle:
+    """The Python-float greedy seeds equal the numpy oracle's, row for row."""
+
+    @staticmethod
+    def random_problem(rng):
+        w = int(rng.integers(1, 25))
+        k = int(rng.integers(1, 4))
+        if rng.random() < 0.5:
+            demands = rng.integers(0, 30, size=(w, k)).astype(float)
+        else:
+            demands = rng.random((w, k)) * rng.choice([1.0, 0.1, 100.0])
+        if rng.random() < 0.3:  # ties between demands
+            demands[rng.integers(0, w, size=w // 2)] = demands[0]
+        total = demands.sum(axis=0)
+        kind = rng.choice(["tight", "loose", "zero"], p=[0.6, 0.2, 0.2])
+        if kind == "tight":
+            capacities = total * rng.uniform(0.1, 0.9, size=k)
+            # Capacities on, or just under, a partial sum exercise the 1e-9
+            # tolerance.
+            if rng.random() < 0.5:
+                edge = demands[: int(rng.integers(0, w + 1)), 0].sum()
+                capacities[0] = max(0.0, edge - rng.choice([0.0, 5e-10, 2e-9]))
+        elif kind == "loose":
+            capacities = total + rng.uniform(0.0, 10.0, size=k)
+        else:
+            capacities = np.zeros(k)
+            capacities[1:] = total[1:] * rng.uniform(0.0, 1.0, size=k - 1)
+        return SelectionProblem(demands, capacities)
+
+    def test_matches_numpy_oracle(self):
+        rng = np.random.default_rng(20_261)
+        for trial in range(1200):
+            problem = self.random_problem(rng)
+            got = problem.greedy_chromosomes()
+            want = numpy_greedy_chromosomes(problem)
+            assert got.dtype == want.dtype, trial
+            assert got.shape == want.shape, trial
+            assert got.tobytes() == want.tobytes(), trial
+
+
 class TestSeedingModes:
     def test_seeded_at_low_g_beats_random_at_low_g(self):
         """Warm-starting substitutes for the paper's big G budget."""
