@@ -48,8 +48,9 @@ from .recorder import UsageRecorder
 _EVENT_COUNTERS = {et: f"engine.events.{et.name.lower()}" for et in EventType}
 
 #: Queue depth below which a time-dependent (uncacheable) ordering uses the
-#: reference tuple sort even on the fast engine — the lexsort path's array
-#: setup only amortizes past this measured crossover.
+#: reference tuple sort even on the fast engine — the table path's fixed
+#: array setup (~15 µs) only amortizes past this measured crossover
+#: (docs/performance.md has the table).
 _VECTOR_MIN_QUEUE = 48
 
 
@@ -162,8 +163,10 @@ class SchedulingEngine:
         Enable the array-backed fast path (default).  The fast engine
         builds a :class:`~repro.simulator.jobtable.JobTable` over the
         trace, orders the queue with one ``np.lexsort`` instead of a
-        Python tuple sort (caching the ordering for time-independent
-        policies such as FCFS until queue membership changes), keeps the
+        Python tuple sort (only the front a pass reads when every queued
+        job is eligible and backfill is window-scoped; cached for
+        time-independent policies such as FCFS until queue membership
+        changes), keeps the
         backfiller's planned-release list incrementally instead of
         rebuilding it every pass, and gates window feasibility from the
         table's columns.  Every shortcut is *byte-identical* to the
@@ -246,7 +249,8 @@ class SchedulingEngine:
         # --- run state -------------------------------------------------------
         self._events = EventQueue()
         self._jobs: Optional[List[Job]] = None
-        self._queue: List[Job] = []
+        #: queued jobs by jid, in arrival order (requeues re-enter at the end)
+        self._queue: Dict[int, Job] = {}
         self._running: Dict[int, Job] = {}
         self._completed: Set[int] = set()
         self._abandoned: Set[int] = set()
@@ -263,7 +267,7 @@ class SchedulingEngine:
         self._table: Optional[JobTable] = None
         #: bumped whenever queue *membership* changes; keys the order cache
         self._queue_rev = 0
-        #: cached priority ordering for time-independent policies
+        #: cached priority ordering (or its front) for time-independent policies
         self._order_cache: Optional[List[Job]] = None
         self._order_rev = -1
         #: jid → PlannedRelease, maintained in lock-step with ``_running``
@@ -295,6 +299,8 @@ class SchedulingEngine:
     def __setstate__(self, state: Dict) -> None:
         self.__dict__.update(state)
         self._tracer = NULL_TRACER
+        if isinstance(self._queue, list):  # snapshots that kept the queue as a list
+            self._queue = {job.jid: job for job in self._queue}
 
     # --- run-state introspection (checkpoint manifests, progress displays) --------
     @property
@@ -487,7 +493,7 @@ class SchedulingEngine:
                 self._abandon(job, event.time)
                 return False
             job.mark_queued()
-            self._queue.append(job)
+            self._queue[job.jid] = job
             self._queue_rev += 1
             self._sync_state(job)
             self._observe_queue(event.time)
@@ -495,7 +501,7 @@ class SchedulingEngine:
         if event.etype is EventType.JOB_REQUEUE:
             job = event.payload
             job.mark_requeued()
-            self._queue.append(job)
+            self._queue[job.jid] = job
             self._queue_rev += 1
             self._sync_state(job)
             self._observe_queue(event.time)
@@ -552,7 +558,7 @@ class SchedulingEngine:
         self.cluster.allocate(job)
         job.mark_started(now)
         self._running[job.jid] = job
-        self._queue.remove(job)
+        del self._queue[job.jid]
         self._queue_rev += 1
         self._c_started.value += 1
         self._ssd_used += job.ssd * job.nodes
@@ -662,8 +668,8 @@ class SchedulingEngine:
             j = stack.pop()
             if j.state is JobState.ABANDONED:
                 continue
-            if j in self._queue:
-                self._queue.remove(j)
+            if j.jid in self._queue:
+                del self._queue[j.jid]
                 self._queue_rev += 1
                 self._observe_queue(now)
             j.mark_abandoned(now)
@@ -672,7 +678,7 @@ class SchedulingEngine:
             self._terminal += 1
             self._stats.abandoned_jobs += 1
             self.metrics.inc("engine.jobs_abandoned")
-            stack.extend(q for q in self._queue if j.jid in q.deps)
+            stack.extend(q for q in self._queue.values() if j.jid in q.deps)
 
     def _observe(self, now: float) -> None:
         self._recorder.observe_cluster(
@@ -707,42 +713,49 @@ class SchedulingEngine:
             )
         return releases
 
-    def _ordered_queue(self, now: float) -> List[Job]:
-        """Priority-ordered queue, via the fast path when enabled.
+    def _ordered_queue(self, now: float, k: Optional[int] = None) -> List[Job]:
+        """Priority-ordered queue — at least its first ``k`` jobs when
+        ``k`` is given — via the fast path when enabled.
+
+        The fast path scores the rows the job table marks QUEUED (exactly
+        the members of ``_queue``: every mutation site calls
+        ``_sync_state``) and sorts only the first ``k``
+        (:meth:`PriorityPolicy.order_prefix`).
 
         For time-independent policies (FCFS) the ordering is cached and
         invalidated only when queue *membership* changes (``_queue_rev``
         bumps at the four mutation sites: submit, requeue, start, abandon)
         — the scores of the jobs already in the queue can never change.
-
-        Time-dependent policies (WFP) must rescore every pass, and their
-        bit-exact score kernels still pay per-element Python pow, so the
-        lexsort path only wins once the array setup amortizes: below
-        ``_VECTOR_MIN_QUEUE`` (measured crossover ~48) the reference
-        tuple sort is used even on the fast engine.
+        Time-dependent policies (WFP) are rescored every pass, through the
+        reference tuple sort below ``_VECTOR_MIN_QUEUE`` queued jobs.
         """
-        if self._table is None or len(self._queue) < 2:
-            return self.policy.order(self._queue, now)
-        if self.policy.time_independent:
-            if self._order_rev == self._queue_rev and self._order_cache is not None:
+        queue = self._queue
+        table = self._table
+        cacheable = self.policy.time_independent
+        if table is None or len(queue) < (2 if cacheable else _VECTOR_MIN_QUEUE):
+            return self.policy.order(queue.values(), now, k=k)
+        k = len(queue) if k is None else min(k, len(queue))
+        if cacheable and self._order_rev == self._queue_rev:
+            cached = self._order_cache
+            if cached is not None and len(cached) >= k:
                 self._c_order_cache_hits.value += 1
-                return self._order_cache
-            ordered = self.policy.order(self._queue, now, table=self._table)
-            self._order_cache = ordered
-            self._order_rev = self._queue_rev
-            self._c_order_vectorized.value += 1
-            return ordered
-        if len(self._queue) < _VECTOR_MIN_QUEUE:
-            return self.policy.order(self._queue, now)
+                return cached
         if self._order_vectorized:
             self._c_order_vectorized.value += 1
         else:
             self._c_order_fallback.value += 1
-        return self.policy.order(self._queue, now, table=self._table)
+        ordered = self.policy.order(
+            queue.values(), now, table=table, rows=table.queued_rows(), k=k
+        )
+        if cacheable:
+            self._order_cache = ordered
+            self._order_rev = self._queue_rev
+        return ordered
 
     def _schedule_pass(self, now: float) -> None:
         """One full scheduling invocation (§3 pipeline)."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return
         if self.cluster.nodes_free == 0:
             # Nothing can start; skip the (possibly expensive) selection.
@@ -753,7 +766,7 @@ class SchedulingEngine:
         tracer = self._tracer
         traced = tracer.enabled  # skip span construction on untraced runs
         with (
-            tracer.span("schedule_pass", t=now, queue=len(self._queue))
+            tracer.span("schedule_pass", t=now, queue=len(queue))
             if traced
             else NULL_SPAN
         ) as pass_span:
@@ -762,13 +775,24 @@ class SchedulingEngine:
             ) as win_span:
                 # One ordering + dependency-gating pass serves both window
                 # extraction and the backfill stage below.
-                ordered = self._ordered_queue(now)
-                eligible = (
-                    ordered
-                    if self._eligible_passthrough
-                    else self.window.eligible(ordered, self._completed)
+                passthrough = self._eligible_passthrough
+                if passthrough and self.backfill_scope == "window":
+                    # Every queued job is eligible and the pass reads only
+                    # the front: the window, then the backfill scope over
+                    # what the window's starts leave — so order only that.
+                    eligible = self._ordered_queue(
+                        now, 2 * self.window.scope_size(len(queue))
+                    )
+                else:
+                    ordered = self._ordered_queue(now)
+                    eligible = (
+                        ordered
+                        if passthrough
+                        else self.window.eligible(ordered, self._completed)
+                    )
+                window = self.window.extract_eligible(
+                    eligible, len(queue) if passthrough else len(eligible)
                 )
-                window = self.window.extract_eligible(eligible)
                 win_span.set(window=len(window), forced=len(window.forced))
             started: Set[int] = set()
             selected_window_idx: Set[int] = set()
@@ -841,16 +865,20 @@ class SchedulingEngine:
             #    default "window" scope only the jobs the scheduler examined
             #    this pass may skip ahead; "queue" scope considers everything.
             backfilled = 0
-            if self.backfill is not None and self._queue:
+            if self.backfill is not None and queue:
                 # Jobs started above left the queue; because the policy
                 # orders by a per-job sort key, filtering them out of the
                 # pass's eligible list equals re-ordering the shrunk queue.
-                in_queue = {j.jid for j in self._queue}
-                still_eligible = [j for j in eligible if j.jid in in_queue]
+                still_eligible = [j for j in eligible if j.jid in queue]
                 if self.backfill_scope == "window":
-                    remaining = still_eligible[
-                        : self.window.scope_size(len(still_eligible))
-                    ]
+                    left = len(queue) if passthrough else len(still_eligible)
+                    scope = self.window.scope_size(left)
+                    if len(still_eligible) < min(scope, left):
+                        # Only a front was ordered and the starts ate into
+                        # it (a scope_size that grows as the queue
+                        # shrinks): order the shrunk queue's front afresh.
+                        still_eligible = self._ordered_queue(now, scope)
+                    remaining = still_eligible[:scope]
                 else:
                     remaining = still_eligible
                 if blocked_forced is not None and blocked_forced in remaining:

@@ -35,6 +35,7 @@ STATE_CODES: Dict[JobState, int] = {
     JobState.COMPLETED: 3,
     JobState.ABANDONED: 4,
 }
+_QUEUED = STATE_CODES[JobState.QUEUED]
 
 
 class JobTable:
@@ -93,6 +94,10 @@ class JobTable:
         return np.fromiter(
             (row_of[j.jid] for j in jobs), dtype=np.intp, count=len(jobs)
         )
+
+    def queued_rows(self) -> np.ndarray:
+        """Rows whose ``state`` is QUEUED, in table order."""
+        return (self.state == _QUEUED).nonzero()[0]
 
     def set_state(self, row: int, state: JobState) -> None:
         """Record a lifecycle transition in the ``state`` column."""

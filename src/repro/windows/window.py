@@ -15,7 +15,7 @@ selection within it.  Two refinements from §3.1:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, List, Sequence, Tuple
+from typing import AbstractSet, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..simulator.job import Job
@@ -84,15 +84,22 @@ class WindowPolicy:
         """
         return self.size
 
-    def extract_eligible(self, eligible: Sequence[Job]) -> Window:
+    def extract_eligible(
+        self, eligible: Sequence[Job], eligible_count: Optional[int] = None
+    ) -> Window:
         """Build the window from an already-computed eligible list.
 
         The engine computes the priority-ordered eligible list once per
         scheduling pass and shares it between window extraction and
         window-scoped backfilling; this entry point avoids re-deriving it.
-        Jobs already past the starvation bound are flagged forced.
+        ``eligible`` may be just the front of that list, in which case
+        ``eligible_count`` gives the full list's length (the window size
+        is a function of it, see :meth:`scope_size`).  Jobs already past
+        the starvation bound are flagged forced.
         """
-        jobs = tuple(eligible[: self.scope_size(len(eligible))])
+        if eligible_count is None:
+            eligible_count = len(eligible)
+        jobs = tuple(eligible[: self.scope_size(eligible_count)])
         if self.starvation_bound is None:
             return Window(jobs=jobs)
         forced = tuple(

@@ -81,6 +81,26 @@ class TestSnapshotFormat:
         result = engine.continue_run()
         assert result.makespan > engine.now or result.makespan == engine.now
 
+    def test_list_queue_snapshot_resumes(self, tmp_path):
+        """Snapshots that stored the engine's queue as a job list (the
+        layout before it was keyed by jid) still resume to the
+        uninterrupted result."""
+        path = tmp_path / "mid.ckpt"
+        trace = get_workload("Cori-S4", SMOKE)  # 26 jobs queued at the cut
+        config = CheckpointConfig(path=str(path), every_hours=0.0,
+                                  stop_after=40_000.0)
+        with pytest.raises(SimulationInterrupted):
+            run_one(trace, "Baseline", SMOKE, seed=11, checkpoint=config)
+        engine, header = load_checkpoint(path)
+        queue = engine._queue
+        engine._queue = list(queue.values() if isinstance(queue, dict) else queue)
+        assert len(engine._queue) > 10
+        save_checkpoint(path, engine, meta=header["manifest"]["meta"])
+        resumed = run_one(trace, "Baseline", SMOKE, seed=11,
+                          resume_from=str(path))
+        full = run_one(trace, "Baseline", SMOKE, seed=11)
+        assert fingerprint_digest(resumed) == fingerprint_digest(full)
+
     def test_truncated_payload_detected(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         data = path.read_bytes()

@@ -13,8 +13,9 @@ paths, which must be *byte-identical* at every level:
 * the array-backed engine fast path (vectorized queue ordering, the
   FCFS order cache, incremental planned releases, batch event pops; vs
   ``fast_engine=False`` / CLI ``--no-fast-engine``) — full-run
-  fingerprints for every §4 method, plus the ordering permutation
-  itself under score ties.
+  fingerprints for every §4 method, the ordering permutation itself
+  under score ties, the exact front a pass orders, and whole runs on
+  backlogs many times the window deep.
 
 Any divergence — an RNG draw consumed differently, a float assembled
 from a different batch shape, a sort tie broken differently — shows up
@@ -22,10 +23,12 @@ here as a hard failure.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from repro.backfill import EasyBackfill
 from repro.checkpoint.verify import fingerprint_digest, verify_resume
 from repro.core import evalcache
 from repro.core.ga import MOGASolver
@@ -34,12 +37,17 @@ from repro.core.scalar import ScalarGASolver
 from repro.errors import SolverError
 from repro.experiments import get_scale, get_workload
 from repro.experiments.runner import run_one
+from repro.methods import make_selector
 from repro.methods.registry import METHODS_SECTION4
 from repro.policies import FCFS, WFP
 from repro.policies.base import PriorityPolicy
+from repro.resilience import FaultInjector, FaultScenario, RetryPolicy
+from repro.simulator.cluster import Cluster
+from repro.simulator.engine import SchedulingEngine
 from repro.simulator.job import Job
 from repro.simulator.jobtable import JobTable
 from repro.telemetry import Tracer, use_tracer
+from repro.windows import DynamicWindowPolicy, WindowPolicy
 
 #: Deliberately tiny: 16 method×workload fingerprint pairs run per test
 #: session, each pair simulating the trace twice.  The name must stay a
@@ -420,6 +428,171 @@ class TestOrderDifferential:
         table = JobTable(jobs)
         ordered = _ModuloPolicy().order(jobs, 100.0, table=table)
         assert [j.jid for j in ordered] == [1, 2, 3]
+
+
+class TestOrderPrefix:
+    """``order_prefix`` is exactly the front of the full ordering."""
+
+    @pytest.mark.parametrize("policy_cls", [FCFS, WFP, _ModuloPolicy])
+    @pytest.mark.parametrize("trial", range(6))
+    def test_prefix_equals_order_front(self, policy_cls, trial):
+        rng = np.random.default_rng(5000 + trial)
+        n = int(rng.integers(12, 60))
+        jobs = TestOrderDifferential._tied_jobs(rng, n)
+        table = JobTable(jobs)
+        sub = np.sort(rng.permutation(n)[: int(rng.integers(10, n + 1))])
+        queue = [jobs[i] for i in sub]
+        policy = policy_cls()
+        now = float(rng.choice([15.0, 35.0, 1000.0]))
+        full = [j.jid for j in policy.order(queue, now)]
+        w = 8
+        for k in (1, w, len(queue) - 1, len(queue), len(queue) + 5):
+            got = policy.order_prefix(table, sub, now, k)
+            assert [j.jid for j in got] == full[:k], k
+            # Row order is irrelevant: the key is total.
+            got = policy.order_prefix(table, sub[::-1].copy(), now, k)
+            assert [j.jid for j in got] == full[:k], k
+
+    @staticmethod
+    def _wfp_job(jid, walltime, nodes):
+        return Job(jid=jid, submit_time=0.0, runtime=1.0, walltime=walltime,
+                   nodes=nodes)
+
+    def test_wfp_scores_one_ulp_apart_at_the_cut(self):
+        now, policy = 1000.0, WFP()
+        lo = self._wfp_job(1, 629.9605249476363, 2)
+        hi = self._wfp_job(2, 500.0000000001584, 1)
+        assert math.nextafter(policy.priority(lo, now), math.inf) == (
+            policy.priority(hi, now))
+        leaders = [self._wfp_job(10 + i, 100.0 + i, 1) for i in range(5)]
+        tail = [self._wfp_job(20 + i, 900.0 + i, 1) for i in range(5)]
+        # The near-tie pair straddles the cut in both input orders.
+        for jobs in (leaders + [lo, hi] + tail, tail + [hi, lo] + leaders):
+            table = JobTable(jobs)
+            rows = np.arange(len(jobs))
+            full = [j.jid for j in policy.order(jobs, now)]
+            assert full.index(2) == 5 and full.index(1) == 6
+            for k in (5, 6, 7, 8):
+                got = policy.order_prefix(table, rows, now, k)
+                assert [j.jid for j in got] == full[:k], k
+
+    def test_wfp_all_scores_zero(self):
+        # Every job was just submitted: all scores are 0 and the order is
+        # (submit_time, jid); the estimate cannot pick candidates.
+        rng = np.random.default_rng(7)
+        jobs = [
+            Job(jid=int(j), submit_time=float(rng.choice([50.0, 80.0])),
+                runtime=1.0, walltime=float(rng.choice([10.0, 40.0])),
+                nodes=int(rng.integers(1, 5)))
+            for j in rng.permutation(np.arange(1, 41))
+        ]
+        table = JobTable(jobs)
+        rows = np.arange(len(jobs))
+        policy = WFP()
+        full = [j.jid for j in policy.order(jobs, 50.0)]
+        for k in (1, 8, 39, 40, 45):
+            got = policy.order_prefix(table, rows, 50.0, k)
+            assert [j.jid for j in got] == full[:k], k
+
+
+class _SawtoothWindow(WindowPolicy):
+    """Window size that *grows* as the queue shrinks past odd lengths —
+    the front the fast engine orders must then be re-read for backfill."""
+
+    def scope_size(self, eligible_count):
+        return 3 if eligible_count % 2 == 0 else 12
+
+
+def _deep_backlog(seed, n=520, deps=False):
+    """``n`` jobs arriving far faster than a 64-node machine drains them,
+    so the queue holds hundreds of jobs, many times the window."""
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for i in range(n):
+        runtime = float(rng.integers(50, 1500))
+        dep = ()
+        if deps and i > 10 and rng.random() < 0.2:
+            dep = tuple(int(d) for d in rng.integers(1, i + 1, size=2))
+        jobs.append(Job(
+            jid=i + 1,
+            submit_time=float(rng.integers(0, 400) * 10),
+            runtime=runtime,
+            walltime=runtime * float(rng.choice([1.0, 1.5, 3.0])),
+            nodes=int(rng.integers(1, 33)),
+            bb=float(rng.choice([0.0, 0.0, 10.0, 40.0])),
+            deps=frozenset(dep),
+        ))
+    return jobs
+
+
+def _simulate(jobs, fast, policy, window, scope="window", faults=None,
+              retry=None, method="Baseline"):
+    engine = SchedulingEngine(
+        Cluster(nodes=64, bb_capacity=200.0), policy, make_selector(method),
+        window, backfill=EasyBackfill(), backfill_scope=scope,
+        faults=FaultInjector(faults) if faults is not None else None,
+        retry=retry, fast=fast,
+    )
+    return engine, engine.run(jobs)
+
+
+def _outcome(result):
+    stats = dataclasses.asdict(result.stats)
+    del stats["selector_time"]  # wall clock
+    return stats, [
+        (j.jid, j.state.name, j.start_time, j.end_time, j.attempts,
+         j.window_age) for j in result.jobs
+    ]
+
+
+class TestDeepQueueDifferential:
+    """Fast vs reference engine on backlogs far deeper than the window.
+
+    The fast engine orders only the queue front a pass reads, so these
+    runs keep the queue at hundreds of jobs: a window or backfill scope
+    sized from the front's length instead of the eligible count diverges
+    here (the §4 fingerprints above never queue that deep).
+    """
+
+    CASES = {
+        "dynamic-fcfs": dict(policy=FCFS, window=lambda: DynamicWindowPolicy()),
+        "dynamic-wfp": dict(policy=WFP, window=lambda: DynamicWindowPolicy(),
+                            method="Bin_Packing"),
+        "queue-scope-wfp": dict(policy=WFP, window=lambda: WindowPolicy(size=10),
+                                scope="queue"),
+        "deps-wfp": dict(policy=WFP, window=lambda: DynamicWindowPolicy(),
+                         deps=True),
+        "faults-fcfs": dict(
+            policy=FCFS, window=lambda: DynamicWindowPolicy(),
+            faults=FaultScenario(seed=3, node_mtbf=900.0, node_mttr=600.0,
+                                 nodes_per_failure=4, job_mtbf=700.0),
+            retry=RetryPolicy(max_attempts=2, backoff=120.0)),
+        "faults-deps-wfp": dict(
+            policy=WFP, window=lambda: WindowPolicy(size=10), deps=True,
+            faults=FaultScenario(seed=8, node_mtbf=700.0, node_mttr=600.0,
+                                 nodes_per_failure=6, job_mtbf=500.0),
+            retry=RetryPolicy(max_attempts=1, backoff=60.0)),
+        "sawtooth-window-fcfs": dict(policy=FCFS, window=_SawtoothWindow),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fast_matches_reference(self, case):
+        spec = dict(self.CASES[case])
+        deps = spec.pop("deps", False)
+        policy, window = spec.pop("policy"), spec.pop("window")
+        seed = sorted(self.CASES).index(case)
+        runs = [
+            _simulate(_deep_backlog(seed, deps=deps), fast, policy(), window(),
+                      **spec)
+            for fast in (True, False)
+        ]
+        (engine, fast), (_, ref) = runs
+        assert engine.metrics.gauge("engine.queue_depth").max > 300
+        assert _outcome(fast) == _outcome(ref)
+        if "faults" in spec:
+            assert fast.stats.requeued_jobs > 0
+        if case == "faults-deps-wfp":
+            assert fast.stats.abandoned_jobs > 0
 
 
 class TestResumeDifferential:
