@@ -3,18 +3,14 @@
 
 The paper's Figure 3 illustrates one evolution step on a 4-chromosome
 population over a 5-job window.  This example reconstructs that setting
-and prints the population, its objective values, and the Pareto members
-generation by generation, so you can watch crossover/mutation/selection
+and prints the population's Pareto members, with their objective values,
+every few generations, so you can watch crossover/mutation/selection
 approximate the true front.
 
 Run:  python examples/ga_walkthrough.py
 """
 
-import numpy as np
-
 from repro import ExhaustiveSolver, Job, MOGASolver, SelectionProblem
-from repro.core.evalcache import unpack_genes
-from repro.core.pareto import non_dominated_mask
 from repro.units import TB
 
 NODES, BB = 100, 100 * TB
@@ -28,52 +24,31 @@ JOBS = [  # the Table 1 queue — same window Figure 3's chromosomes select over
 ]
 
 
-class NarratingSolver(MOGASolver):
-    """MOGASolver that prints each generation's unique survivors."""
-
-    def __init__(self, problem, every=1, **kw):
-        super().__init__(**kw)
-        self._problem = problem
-        self._every = every
-        self._generation = 0
-
-    def _survive(self, pool):
-        population = super()._survive(pool)
-        if self._generation % self._every == 0:
-            genes = unpack_genes([bits for bits, _, _ in population], self._problem.w)
-            F = np.array([obj for _, _, obj in population])
-            front = non_dominated_mask(F)
-            print(f"generation {self._generation}:")
-            for g, (f1, f2), on_front in zip(genes, F, front):
-                mark = "*" if on_front else " "
-                print(f"  {mark} {''.join(map(str, g))}  "
-                      f"nodes {f1 / NODES:5.0%}  BB {f2 / BB:5.0%}")
-        self._generation += 1
-        return population
+def show(result) -> None:
+    """Print a Pareto set's selections with their utilizations."""
+    for g, (f1, f2) in zip(result.genes, result.objectives):
+        print(f"    {''.join(map(str, g))}  nodes {f1 / NODES:5.0%}  "
+              f"BB {f2 / BB:5.0%}")
 
 
 def main() -> None:
     problem = SelectionProblem.from_window(JOBS, NODES, BB)
 
     print("True Pareto set (exhaustive over 2^5 selections):")
-    truth = ExhaustiveSolver().solve(problem)
-    for g, (f1, f2) in zip(truth.genes, truth.objectives):
-        print(f"    {''.join(map(str, g))}  nodes {f1 / NODES:5.0%}  "
-              f"BB {f2 / BB:5.0%}")
+    show(ExhaustiveSolver().solve(problem))
     print()
 
     # Figure 3's miniature setting: P=4 chromosomes, random init (the
-    # paper's mode), narrated every few generations.
-    solver = NarratingSolver(
-        problem, every=5, generations=25, population=4,
-        mutation=0.02, seed_greedy=False, seed=7,
-    )
-    result = solver.solve(problem)
+    # paper's mode).  A solve with the same seed replays the first g
+    # generations of a longer one, so re-solving with a growing budget
+    # narrates a single run: its Pareto members every few generations.
+    settings = dict(population=4, mutation=0.02, seed_greedy=False, seed=4)
+    for g in range(0, 25, 5):
+        print(f"generation {g}:")
+        show(MOGASolver(generations=g, **settings).solve(problem))
 
     print("\nfinal Pareto approximation:")
-    for g, (f1, f2) in zip(result.genes, result.objectives):
-        print(f"    {''.join(map(str, g))}  nodes {f1 / NODES:5.0%}  "
-              f"BB {f2 / BB:5.0%}")
+    show(MOGASolver(generations=25, **settings).solve(problem))
 
 
 if __name__ == "__main__":

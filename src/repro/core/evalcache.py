@@ -3,12 +3,13 @@
 The cached GA loop (:class:`~repro.core.ga.MOGASolver` with
 ``eval_cache=True``) carries each chromosome as a Python int with gene
 ``i`` at bit ``i`` (:func:`pack_genes` / :func:`unpack_genes`; Python ints
-have no width limit).  Every generation pools the ``P`` parents with ``P``
-children; the parents carry their objective rows with them, and crossover
-routinely reproduces chromosomes seen many generations ago.
+have no width limit).  Every generation scores its ``P`` children; the
+parents carry their objective rows with them, and crossover routinely
+reproduces chromosomes seen many generations ago.
 :class:`EvaluationCache` memoizes objective rows keyed by the packed int so
 each distinct chromosome is evaluated exactly once per solve; duplicate
-rows *within* one batch are also collapsed to a single evaluation.
+rows *within* one batch are also collapsed to a single evaluation
+(:meth:`EvaluationCache.score`).
 
 Byte-identity contract
 ----------------------
@@ -25,7 +26,8 @@ Because every chromosome enters the store *after* repair, store membership
 doubles as a known-feasible certificate; the cache also remembers the
 chromosomes found infeasible during the solve, so repair only sends rows
 of unknown feasibility to ``problem.feasible``
-(:meth:`EvaluationCache.infeasible`).
+(:meth:`EvaluationCache.infeasible`), and a generation whose children are
+all stored skips repair (:meth:`EvaluationCache.all_stored`).
 
 The store is bounded (FIFO eviction, insertion order) and cleared between
 solves — a chromosome only means anything relative to one problem
@@ -104,8 +106,12 @@ class EvaluationCache:
             "evictions": self.evictions,
         }
 
-    def infeasible(self, problem, rows: Sequence[int], idx: List[int]) -> List[int]:
-        """The indices in ``idx`` whose rows break a constraint.
+    def all_stored(self, rows: Sequence[int]) -> bool:
+        """Whether every row is in the store (so known to be feasible)."""
+        return all(map(self._store.__contains__, rows))
+
+    def infeasible(self, problem, rows: Sequence[int], idx: Sequence[int]) -> List[int]:
+        """The indices in ``idx`` (ascending) whose rows break a constraint.
 
         Only rows of unknown feasibility reach ``problem.feasible``: stored
         rows are feasible, and rows found infeasible are remembered (up to
@@ -114,55 +120,50 @@ class EvaluationCache:
         store, known_bad = self._store, self._infeasible
         if len(known_bad) > self.capacity:
             known_bad.clear()
-        unknown = [i for i in idx if rows[i] not in store and rows[i] not in known_bad]
+        bad: List[int] = []
+        unknown: List[int] = []
+        for i in idx:
+            bits = rows[i]
+            if bits in known_bad:
+                bad.append(i)
+            elif bits not in store:
+                unknown.append(i)
         if unknown:
             ok = problem.feasible(unpack_genes([rows[i] for i in unknown], problem.w))
-            known_bad.update(rows[i] for i, good in zip(unknown, ok.tolist()) if not good)
-        return [i for i in idx if rows[i] in known_bad]
+            found = [i for i, good in zip(unknown, ok.tolist()) if not good]
+            known_bad.update(rows[i] for i in found)
+            bad = sorted(bad + found)
+        return bad
 
-    def evaluate(
-        self,
-        problem,
-        rows: Sequence[int],
-        known: Sequence[Optional[Objectives]],
-    ) -> List[Objectives]:
-        """Objective rows for the packed ``rows``, evaluating only unseen ones.
+    def score(self, problem, rows: Sequence[int]) -> Dict[int, Objectives]:
+        """Objective rows of the distinct ``rows``, in order of first
+        appearance, evaluating only the ones not in the store.
 
-        ``known[i]`` is row ``i``'s objective row when the caller already
-        holds it (a surviving parent), else ``None``.  Known rows count as
-        hits, exactly like rows found in the store.
+        A repeat of a row the batch evaluates counts as deduped.  Rows whose
+        objective rows the caller already holds (surviving parents) are
+        hits too; the caller adds them to :attr:`hits` itself.
         """
         store = self._store
-        out = list(known)
+        out: Dict[int, Optional[Objectives]] = {}
+        miss: List[int] = []
         hits = 0
-        miss_pos: List[int] = []
-        dup_pos: List[int] = []
-        pending = set()
-        for i, obj in enumerate(out):
-            if obj is not None:
-                hits += 1
-                continue
-            bits = rows[i]
+        for bits in rows:
             obj = store.get(bits)
             if obj is not None:
                 hits += 1
-                out[i] = obj
-            elif bits in pending:
-                dup_pos.append(i)
-            else:
-                pending.add(bits)
-                miss_pos.append(i)
+                out[bits] = obj
+            elif bits not in out:
+                out[bits] = None
+                miss.append(bits)
         self.hits += hits
-        self.misses += len(miss_pos)
-        self.deduped += len(dup_pos)
-        if miss_pos:
-            fresh = problem.evaluate(unpack_genes([rows[i] for i in miss_pos], problem.w))
-            for i, obj in zip(miss_pos, fresh.tolist()):
-                out[i] = store[rows[i]] = tuple(obj)
-            for i in dup_pos:
-                out[i] = store[rows[i]]
-            # The batch is fully assembled into ``out``, so FIFO eviction
-            # cannot drop a row in use; it keeps the newest rows.
+        self.misses += len(miss)
+        self.deduped += len(rows) - hits - len(miss)
+        if miss:
+            fresh = problem.evaluate(unpack_genes(miss, problem.w))
+            for bits, obj in zip(miss, fresh.tolist()):
+                out[bits] = store[bits] = tuple(obj)
+            # ``out`` holds the whole batch, so FIFO eviction cannot drop a
+            # row in use; it keeps the newest rows.
             while len(store) > self.capacity:
                 store.pop(next(iter(store)))
                 self.evictions += 1

@@ -21,14 +21,17 @@ switches to NSGA-II-style crowding-distance selection for comparison.
 
 With the evaluation cache on (the default) each chromosome is a Python int
 with gene ``i`` at bit ``i``, and the population is a list of ``(bits,
-age, objectives)`` members: crossover is two masks, repair clears set bits,
-and survivor selection is a few list passes, so a generation costs one
-``integers`` call (padding, parents, cuts), one ``random`` call, a draw
-per gene repair clears, and list code.  Only rows the cache has not seen are
-unpacked to a uint8 matrix for the problem's numpy kernels.  With
-``eval_cache=False`` the population is a ``(P, w)`` uint8 matrix and every
-operator is a numpy call: that path is the reference the differential
-tests compare the cached loop against, byte for byte.
+age, objectives)`` members.  A generation costs one ``integers`` call
+(padding, parents, cuts), one ``random`` call, and one pass over the
+children that dedups and scores them; parents carry their objective rows
+and are not scored again.  Crossover copies a child whose parents are the
+same chromosome, repair runs only when a child is new to the cache, and
+the survivors are built straight from the unique children and the
+parents no child re-created, with no pooled list.  Only rows the cache
+has not seen are unpacked to a uint8 matrix for the problem's numpy
+kernels.  With ``eval_cache=False`` the population is a ``(P, w)`` uint8
+matrix and every operator is a numpy call: that path is the reference the
+differential tests compare the cached loop against, byte for byte.
 """
 
 from __future__ import annotations
@@ -394,25 +397,6 @@ class MOGASolver:
     # Each operator draws the same bit-generator words as its reference twin, in
     # order (calls merge where numpy's bounded sampler draws per element, as
     # tests/test_rng.py pins), so both paths give byte-identical populations.
-    def _crossover_bits(
-        self, population: List[Member], w: int, rng: np.random.Generator
-    ) -> Tuple[List[Member], List[int]]:
-        """Pad ``population`` to ``P`` (as :meth:`_survivors` does), then cross
-        it over → (parents, children), all from one ``integers`` call."""
-        P = self.population
-        pairs, short = (P + 1) // 2, P - len(population)
-        draws = rng.integers(*_draw_bounds(P, len(population), w)).tolist()
-        parents = population + [population[j] for j in draws[:short]]
-        mothers = [parents[i][0] for i in draws[short : short + pairs]]
-        fathers = [parents[i][0] for i in draws[short + pairs : short + 2 * pairs]]
-        if w < 2:
-            return parents, (mothers + fathers)[:P]
-        # Genes below the cut come from the first parent of the child.
-        lows = [(1 << cut) - 1 for cut in draws[short + 2 * pairs :]]
-        child_a = [(m & low) | (f & ~low) for m, f, low in zip(mothers, fathers, lows)]
-        child_b = [(f & low) | (m & ~low) for m, f, low in zip(mothers, fathers, lows)]
-        return parents, (child_a + child_b)[:P]
-
     def _mutate_bits(
         self, children: List[int], w: int, rng: np.random.Generator
     ) -> List[int]:
@@ -421,9 +405,7 @@ class MOGASolver:
         if self.mutation == 0.0:
             return children
         draws = rng.random(len(children) * w)
-        if draws.min() >= self.mutation:
-            return children
-        for i in np.flatnonzero(draws < self.mutation).tolist():
+        for i in (draws < self.mutation).nonzero()[0].tolist():
             row, gene = divmod(i, w)
             children[row] ^= 1 << gene
         return children
@@ -444,7 +426,7 @@ class MOGASolver:
         bits in ascending gene order, then re-checks those rows.
         """
         free = ~forced_bits
-        bad = cache.infeasible(problem, rows, list(range(len(rows))))
+        bad = cache.infeasible(problem, rows, range(len(rows)))
         while bad:
             for i in bad:
                 clearable = rows[i] & free
@@ -483,18 +465,7 @@ class MOGASolver:
         dist = crowding_distance(np.array([objs[j] for j in idx]))
         return [idx[j] for j in np.argsort(-dist, kind="stable")[:n].tolist()]
 
-    def _survive(self, pool: List[Member]) -> List[Member]:
-        """Next population: the youngest copy of each chromosome, then
-        :meth:`_select` (same result as :meth:`_survivors`)."""
-        seen = set()
-        unique = []
-        for member in sorted(pool, key=itemgetter(1)):  # stable: pool order breaks ties
-            if member[0] not in seen:
-                seen.add(member[0])
-                unique.append(member)
-        return [unique[j] for j in self._select([m[2] for m in unique])]
-
-    def _next_generation(
+    def _generation(
         self,
         problem: MOOProblem,
         population: List[Member],
@@ -502,19 +473,54 @@ class MOGASolver:
         rng: np.random.Generator,
         cache: EvaluationCache,
     ) -> List[Member]:
-        """One cached generation: pad + crossover → mutate → repair → selection."""
-        w = problem.w
-        population, children = self._crossover_bits(population, w, rng)
+        """One cached generation: pad + crossover → mutate → repair → score →
+        selection, with the reference generation's draws and survivors.
+
+        The survivors are built without pooling: the unique children (age
+        0, in order of first appearance), then the parents no child
+        re-created, stable by age.  A pad re-draws a survivor, so it always
+        follows its original and never survives.  Only generation 0's
+        initial population arrives unscored and may repeat a chromosome.
+        """
+        P, w = self.population, problem.w
+        k = len(population)
+        pairs, short = (P + 1) // 2, P - k
+        draws = rng.integers(*_draw_bounds(P, k, w)).tolist()
+        bits = [m[0] for m in population]
+        bits += [bits[j] for j in draws[:short]]
+        mothers = [bits[i] for i in draws[short : short + pairs]]
+        fathers = [bits[i] for i in draws[short + pairs : short + 2 * pairs]]
+        if w < 2:
+            children = (mothers + fathers)[:P]
+        else:
+            child_a, child_b = [], []
+            for m, f, cut in zip(mothers, fathers, draws[short + 2 * pairs :]):
+                if m == f:
+                    child_a.append(m)
+                    child_b.append(m)
+                else:
+                    # Genes below the cut come from the first parent of the child.
+                    swap = (m ^ f) & ((1 << cut) - 1)
+                    child_a.append(f ^ swap)
+                    child_b.append(m ^ swap)
+            children = (child_a + child_b)[:P]
         children = self._mutate_bits(children, w, rng)
         if forced_bits:
-            children = [bits | forced_bits for bits in children]
-        self._repair_bits(problem, children, forced_bits, rng, cache)
-        rows = [m[0] for m in population] + children
-        objs = cache.evaluate(
-            problem, rows, [m[2] for m in population] + [None] * len(children)
-        )
-        ages = [m[1] + 1 for m in population] + [0] * len(children)
-        return self._survive(list(zip(rows, ages, objs)))
+            children = [c | forced_bits for c in children]
+        if not cache.all_stored(children):  # stored rows are feasible
+            self._repair_bits(problem, children, forced_bits, rng, cache)
+        if population[0][2] is None:
+            scored = cache.score(problem, bits + children)
+            pool = {c: (c, 0, scored[c]) for c in children}
+        else:
+            cache.hits += P  # the padded parents carry their rows
+            scored = cache.score(problem, children)
+            pool = {c: (c, 0, obj) for c, obj in scored.items()}
+        for b, age, obj in sorted(population, key=itemgetter(1)):
+            if b not in pool:
+                pool[b] = (b, age + 1, scored[b] if obj is None else obj)
+        unique = list(pool.values())
+        return [unique[j] for j in self._select([m[2] for m in unique])]
 
     def _solve_cached(
         self,
@@ -538,14 +544,19 @@ class MOGASolver:
         population: List[Member] = [(bits, 0, None) for bits in rows]
         for gen in range(self.generations):
             with tracer.span("ga_generation", gen=gen) if tracer.fine else NULL_SPAN:
-                population = self._next_generation(
+                population = self._generation(
                     problem, population, forced_bits, rng, cache
                 )
         if len(population) < P:  # the reference's last pad draw
             pad = rng.integers(0, len(population), size=P - len(population))
             population += [population[j] for j in pad.tolist()]
         rows = [m[0] for m in population]
-        objs = cache.evaluate(problem, rows, [m[2] for m in population])
+        if self.generations:
+            cache.hits += P  # every member carries its row
+            objs = [m[2] for m in population]
+        else:
+            scored = cache.score(problem, rows)
+            objs = [scored[bits] for bits in rows]
         # unique_front's rows: the first copy of each chromosome on the front.
         front: Dict[int, Objectives] = {}
         for bits, obj, on in zip(rows, objs, _front(objs)):

@@ -338,6 +338,53 @@ class TestCacheCounters:
         }
 
 
+class TestFusedGeneration:
+    """The cached loop's one-pass generation against the reference loop.
+
+    Each case threads one stream through several solves, so a draw the
+    cached loop takes or skips out of turn shows in the stream's end state
+    as well as in the fronts.  The cases are the shapes the generation
+    treats specially: forced genes, both survivor rules and the scalar
+    override of ``_select``, a window without a cut, odd ``P``, a
+    population that collapses to one chromosome (``P - 1`` pads every
+    generation), and the four-objective problem.
+    """
+
+    CASES = {
+        "forced": (lambda kw: MOGASolver(**kw),
+                   lambda rng: wide_selection_problem(rng, 24, forced=(1, 7, 20))),
+        "crowding": (lambda kw: MOGASolver(selection="crowding", **kw),
+                     lambda rng: wide_selection_problem(rng, 16)),
+        "scalar": (lambda kw: ScalarGASolver([0.3, 1.0], **kw),
+                   lambda rng: wide_selection_problem(rng, 16, forced=(2,))),
+        "w1": (lambda kw: MOGASolver(**kw),
+               lambda rng: wide_selection_problem(rng, 1)),
+        "odd-P": (lambda kw: MOGASolver(**{**kw, "population": 7}),
+                  random_selection_problem),
+        "collapse": (lambda kw: MOGASolver(**kw),
+                     lambda rng: SelectionProblem(
+                         rng.integers(1, 9, size=(10, 2)).astype(float), [0.0, 0.0])),
+        "ssd": (lambda kw: MOGASolver(**kw),
+                lambda rng: random_ssd_problem(rng, forced=(0,))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reference(self, case):
+        make, build = self.CASES[case]
+        rng = np.random.default_rng(sorted(self.CASES).index(case))
+        kw = dict(generations=20, population=10, mutation=0.05)
+        streams = {flag: np.random.default_rng(77) for flag in (True, False)}
+        for _ in range(4):
+            problem = build(rng)
+            out = {flag: make(dict(kw, eval_cache=flag)).solve(problem, seed=stream)
+                   for flag, stream in streams.items()}
+            assert_pareto_identical(out[True], out[False])
+            assert (streams[True].bit_generator.state
+                    == streams[False].bit_generator.state)
+            if case == "collapse":
+                assert out[True].genes.tolist() == [[0] * 10]
+
+
 class TestRunDifferential:
     """Cache on/off fingerprint identity for every §4 method."""
 

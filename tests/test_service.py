@@ -457,8 +457,10 @@ class TestClientRetry:
                     return
                 with conn:
                     conn.recv(65536)
-                    conn.sendall(b"}{ not json\n")
+                    # Count before replying: the client may assert on the
+                    # count as soon as it has read the reply.
                     served["n"] += 1
+                    conn.sendall(b"}{ not json\n")
 
         thread = threading.Thread(target=speak_garbage, daemon=True)
         thread.start()
