@@ -11,9 +11,7 @@ Scale selection: ``REPRO_SCALE`` env var (smoke/default/paper), default
 
 from __future__ import annotations
 
-import json
 import pathlib
-import platform
 
 import pytest
 
@@ -44,38 +42,3 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write machine-readable wall-clock telemetry for every benchmark.
-
-    ``results/BENCH_telemetry.json`` maps each benchmark name to its
-    mean/min/max/rounds, so perf regressions diff as JSON instead of
-    being read out of pytest-benchmark's console table.
-    """
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None or not bench_session.benchmarks:
-        return
-    entries = {}
-    for bench in bench_session.benchmarks:
-        stats = getattr(bench, "stats", None)
-        if stats is None:
-            continue
-        entries[bench.name] = {
-            "group": bench.group,
-            "mean_s": stats.mean,
-            "min_s": stats.min,
-            "max_s": stats.max,
-            "rounds": getattr(stats, "rounds", len(stats.data)),
-        }
-    if not entries:
-        return
-    RESULTS_DIR.mkdir(exist_ok=True)
-    doc = {
-        "scale": get_scale().name,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "benchmarks": dict(sorted(entries.items())),
-    }
-    out = RESULTS_DIR / "BENCH_telemetry.json"
-    out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -23,7 +23,6 @@ the paper-versus-measured record of every table and figure.
 """
 
 from .core import (
-    AdaptiveDecisionRule,
     BBSchedSelector,
     Decision,
     DecisionRule,
@@ -125,7 +124,6 @@ __all__ = [
     "validate_schedule",
     "ValidationReport",
     # core
-    "AdaptiveDecisionRule",
     "MOOProblem",
     "SelectionProblem",
     "SSDSelectionProblem",

@@ -1,6 +1,5 @@
-"""Backfilling: EASY (head reservation) and conservative (per-job)."""
+"""Backfilling: EASY (head-of-queue reservation)."""
 
-from .conservative import ConservativeBackfill
 from .easy import BackfillPlan, EasyBackfill, PlannedRelease
 
-__all__ = ["EasyBackfill", "ConservativeBackfill", "BackfillPlan", "PlannedRelease"]
+__all__ = ["EasyBackfill", "BackfillPlan", "PlannedRelease"]

@@ -1,6 +1,5 @@
 """BBSched core: MOO formulation, solvers, and decision making (§3, §5)."""
 
-from .adaptive import AdaptiveDecisionRule
 from .bbsched import BBSchedSelector
 from .decision import (
     Decision,
@@ -49,7 +48,6 @@ __all__ = [
     "hypervolume_2d",
     "DecisionRule",
     "Decision",
-    "AdaptiveDecisionRule",
     "two_resource_rule",
     "four_resource_rule",
     "TWO_RESOURCE_FACTOR",

@@ -9,9 +9,7 @@ from .constrained import (
     constrained_ssd,
 )
 from .naive import NaiveSelector
-from .planbased import PlanBasedSelector, plan_based
 from .registry import (
-    METHODS_EXTENDED,
     METHODS_SECTION4,
     METHODS_SECTION5,
     SOLVER_BACKED,
@@ -27,8 +25,6 @@ __all__ = [
     "WeightedSelector",
     "ConstrainedSelector",
     "BinPackingSelector",
-    "PlanBasedSelector",
-    "plan_based",
     "weighted_equal",
     "weighted_cpu",
     "weighted_bb",
@@ -39,6 +35,5 @@ __all__ = [
     "available_methods",
     "METHODS_SECTION4",
     "METHODS_SECTION5",
-    "METHODS_EXTENDED",
     "SOLVER_BACKED",
 ]

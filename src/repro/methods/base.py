@@ -53,10 +53,6 @@ class Selector(abc.ABC):
 
     #: Identifier used in result tables (matches §4.3 naming).
     name: str = "selector"
-    #: True when select() needs the engine to project planned resource
-    #: releases into ``Available`` (the plan-based scheduler); the default
-    #: keeps the snapshot construction byte-identical for everyone else.
-    needs_releases: bool = False
     #: Optional OptimalityYardstick attached by subclasses; the engine
     #: harvests its gaps/skip counter through the properties below.
     yardstick = None

@@ -20,7 +20,6 @@ from .base import Selector
 from .binpacking import BinPackingSelector
 from .constrained import constrained_bb, constrained_cpu, constrained_ssd
 from .naive import NaiveSelector
-from .planbased import plan_based
 from .weighted import weighted_bb, weighted_cpu, weighted_equal
 
 #: The eight methods of the §4 evaluation, in the paper's presentation order.
@@ -46,13 +45,8 @@ METHODS_SECTION5: tuple[str, ...] = (
     "BBSched",
 )
 
-#: Comparison methods beyond the paper's own table: the plan-based
-#: scheduler (docs/solvers.md).  Not part of METHODS_SECTION4, so the
-#: paper-faithful grids and figures are unchanged.
-METHODS_EXTENDED: tuple[str, ...] = ("Plan_Based",)
-
 #: Methods whose selection is a solver run (and can therefore take
-#: ``solver=``/``yardstick=``); the greedy/plan methods ignore both.
+#: ``solver=``/``yardstick=``); the greedy methods ignore both.
 SOLVER_BACKED: tuple[str, ...] = (
     "Weighted",
     "Weighted_CPU",
@@ -89,7 +83,7 @@ def make_selector(
     :class:`~repro.solvers.gap.OptimalityYardstick` (or pass an instance
     to share one), recording the per-pass method-vs-exact optimality gap
     into the run's telemetry.  Both only apply to the solver-backed
-    methods; the greedy and plan-based methods ignore them.
+    methods; the greedy methods ignore them.
     """
     # Imported here, not at module scope: BBSchedSelector lives in repro.core,
     # which itself imports repro.methods.base — a top-level import would cycle.
@@ -122,7 +116,6 @@ def make_selector(
         "Constrained_SSD": lambda: constrained_ssd(seed=seed, **solved),
         "Bin_Packing": BinPackingSelector,
         "BBSched": lambda: BBSchedSelector(seed=seed, **solved),
-        "Plan_Based": plan_based,
     }
     try:
         return factories[name]()
@@ -134,6 +127,4 @@ def make_selector(
 
 def available_methods() -> List[str]:
     """All method names :func:`make_selector` accepts."""
-    return sorted(
-        set(METHODS_SECTION4) | set(METHODS_SECTION5) | set(METHODS_EXTENDED)
-    )
+    return sorted(set(METHODS_SECTION4) | set(METHODS_SECTION5))

@@ -139,12 +139,6 @@ class SolverWatchdog(Selector):
         return self.stats.fallback_calls
 
     @property
-    def needs_releases(self) -> bool:  # type: ignore[override]
-        """Forwarded from the inner selector, so the engine projects
-        planned releases into the snapshot for a guarded plan-based run."""
-        return bool(getattr(self.inner, "needs_releases", False))
-
-    @property
     def yardstick(self):  # type: ignore[override]
         """Inner selector's optimality yardstick (engine-facing).
 

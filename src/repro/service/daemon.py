@@ -130,12 +130,28 @@ class ServiceDaemon:
             return
         view = self.journal.load()
         self._seq = view.seq_max
+        if view.dropped_tail:
+            # Replay skipped a torn final record; cut it off before we
+            # append again, or the damage would end up mid-file where
+            # later loads must treat it as real corruption.
+            self.journal.repair()
+            self.metrics.inc("service.journal_tail_dropped")
         for rid, record in view.requests.items():
             key = (record["params"] or {}).get("idempotency_key")
             if key:
                 self._keys[key] = rid
             terminal = view.terminal.get(rid)
             if terminal is None:
+                try:
+                    # A journal from an older build may name a method
+                    # (or other value) this build no longer accepts.
+                    protocol.validate_submit(record["params"])
+                except ServiceError as exc:
+                    self._status[rid] = {"state": "failed",
+                                         "params": record["params"],
+                                         "error": str(exc), "code": exc.code}
+                    self.journal.append_failed(rid, str(exc), exc.code, 0)
+                    continue
                 self._status[rid] = {"state": "queued",
                                      "params": record["params"],
                                      "recovered": True}
@@ -153,12 +169,6 @@ class ServiceDaemon:
                 entry["error"] = terminal.get("error")
                 entry["code"] = terminal.get("code", 500)
             self._status[rid] = entry
-        if view.dropped_tail:
-            # Replay skipped a torn final record; cut it off before we
-            # append again, or the damage would end up mid-file where
-            # later loads must treat it as real corruption.
-            self.journal.repair()
-            self.metrics.inc("service.journal_tail_dropped")
 
     @staticmethod
     def _parse_tcp(spec: str) -> tuple:

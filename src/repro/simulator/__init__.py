@@ -18,7 +18,6 @@ from .metrics import (
     wait_by_job_size,
     wait_by_runtime,
 )
-from .plan import ExecutionPlan, PlannedStart, ResourceProfile, build_plan
 from .recorder import StepSeries, UsageRecorder
 from .ssd_pool import SSDAssignment, SSDPool
 from .validate import ValidationReport, Violation, validate_schedule
@@ -35,10 +34,6 @@ __all__ = [
     "SSDAssignment",
     "StepSeries",
     "UsageRecorder",
-    "ResourceProfile",
-    "ExecutionPlan",
-    "PlannedStart",
-    "build_plan",
     "SchedulingEngine",
     "SimulationResult",
     "EngineStats",

@@ -33,19 +33,11 @@ class Available:
 
     ``ssd_free`` maps SSD tier capacity (GB) → free node count; for systems
     without local SSDs it has the single tier ``0.0`` covering every node.
-
-    ``releases`` and ``now`` project the near future into the snapshot:
-    the running jobs' :class:`~repro.backfill.easy.PlannedRelease` entries
-    and the current simulation time.  They default empty — the engine
-    populates them only for selectors declaring ``needs_releases`` (the
-    plan-based scheduler), so every other construction site is untouched.
     """
 
     nodes: int
     bb: float
     ssd_free: Mapping[float, int]
-    releases: Sequence = ()
-    now: float = 0.0
 
     def fits(self, job: Job) -> bool:
         """Would ``job`` fit into this snapshot on its own?"""

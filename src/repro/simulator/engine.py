@@ -22,7 +22,7 @@ its resources free up.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from ..backfill import EasyBackfill, PlannedRelease
@@ -198,9 +198,6 @@ class SchedulingEngine:
         self.cluster = cluster
         self.policy = policy
         self.selector = selector
-        # Plan-based selectors need the free-capacity snapshot extended
-        # with the running jobs' planned releases (see Available.releases).
-        self._needs_releases = bool(getattr(selector, "needs_releases", False))
         self.window = window or WindowPolicy()
         self.backfill = backfill
         ssd_total = sum(
@@ -819,10 +816,6 @@ class SchedulingEngine:
                 # selector (nothing allocates in between, so it is exactly
                 # the per-job can_fit() this replaces).
                 avail = self.cluster.available()
-                if self._needs_releases:
-                    avail = replace(
-                        avail, releases=tuple(self._planned_releases()), now=now
-                    )
                 if reduced:
                     table = self._table
                     if table is not None:

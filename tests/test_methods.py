@@ -185,6 +185,7 @@ class TestRegistry:
         methods = available_methods()
         assert methods == sorted(methods)
         assert "BBSched" in methods
+        assert methods == sorted(set(METHODS_SECTION4) | set(METHODS_SECTION5))
 
     def test_section4_has_eight_methods(self):
         assert len(METHODS_SECTION4) == 8

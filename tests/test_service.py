@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.errors import CheckpointError, ServiceError
+from repro.methods import available_methods
 from repro.service import (
     AdmissionQueue,
     RequestJournal,
@@ -379,6 +380,24 @@ class TestRecovery:
             accepted = h.client.submit(**SMOKE)
             assert accepted["id"] == "r000008"
             h.client.wait(accepted["id"], timeout=120.0)
+
+    def test_unfinished_request_for_an_unknown_method_fails(self, tmp_path):
+        # A journal written by an older build can hold an accepted request
+        # for a method this build no longer has.  Recovery must fail it at
+        # once, with an error naming the method, and keep serving.
+        gone = "Plan_Based"
+        assert gone not in available_methods()
+        journal = RequestJournal(tmp_path / "svc.jsonl")
+        journal.append_request("r000001", 1, {**SMOKE, "method": gone})
+        with DaemonHarness(tmp_path) as h:
+            status = h.client.wait("r000001", timeout=60.0)
+            assert status["state"] == "failed"
+            assert gone in status["error"]
+            accepted = h.client.submit(**SMOKE)
+            assert h.client.wait(accepted["id"], timeout=120.0)["state"] == "done"
+        view = journal.load()
+        assert view.state("r000001") == "failed"
+        assert view.attempts.get("r000001", 0) == 0
 
 
 class TestDegradation:

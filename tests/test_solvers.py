@@ -14,7 +14,7 @@ import pytest
 from repro.core.bbsched import BBSchedSelector
 from repro.core.problem import SelectionProblem, SSDSelectionProblem
 from repro.errors import ConfigurationError, SolverError
-from repro.methods import SOLVER_BACKED, available_methods, make_selector
+from repro.methods import SOLVER_BACKED, make_selector
 from repro.methods.base import SystemCapacity
 from repro.simulator.cluster import Available
 from repro.simulator.job import Job
@@ -404,9 +404,6 @@ class TestSelectorIntegration:
     def test_make_selector_unknown_solver(self):
         with pytest.raises(ConfigurationError, match="window solver"):
             make_selector("BBSched", solver="quantum")
-
-    def test_plan_based_listed(self):
-        assert "Plan_Based" in available_methods()
 
 
 # ---------------------------------------------------------------------------
