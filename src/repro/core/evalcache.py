@@ -23,11 +23,11 @@ blocked BLAS matmul whose per-row results shift with the batch size.
 ``tests/test_differential.py`` pins this end-to-end.
 
 Because every chromosome enters the store *after* repair, store membership
-doubles as a known-feasible certificate; the cache also remembers the
-chromosomes found infeasible during the solve, so repair only sends rows
-of unknown feasibility to ``problem.feasible``
-(:meth:`EvaluationCache.infeasible`), and a generation whose children are
-all stored skips repair (:meth:`EvaluationCache.all_stored`).
+doubles as a known-feasible certificate: repair sends only rows not in the
+store to ``problem.feasible_packed``, which checks the packed ints
+without unpacking them (:meth:`EvaluationCache.infeasible`), and a
+generation whose children are all stored skips repair
+(:meth:`EvaluationCache.all_stored`).
 
 The store is bounded (FIFO eviction, insertion order) and cleared between
 solves — a chromosome only means anything relative to one problem
@@ -83,7 +83,6 @@ class EvaluationCache:
     def __init__(self) -> None:
         self.capacity = DEFAULT_EVAL_CACHE_CAPACITY
         self._store: Dict[int, Objectives] = {}
-        self._infeasible: set = set()
         self.hits = 0        #: rows served without an evaluation
         self.misses = 0      #: rows that triggered an evaluation
         self.deduped = 0     #: duplicate rows collapsed within one batch
@@ -95,7 +94,6 @@ class EvaluationCache:
     def reset(self) -> None:
         """Drop the store (counters survive).  Called between solves."""
         self._store.clear()
-        self._infeasible.clear()
 
     def stats(self) -> Dict[str, int]:
         """Cumulative counters as a plain dict (telemetry-ready)."""
@@ -113,27 +111,14 @@ class EvaluationCache:
     def infeasible(self, problem, rows: Sequence[int], idx: Sequence[int]) -> List[int]:
         """The indices in ``idx`` (ascending) whose rows break a constraint.
 
-        Only rows of unknown feasibility reach ``problem.feasible``: stored
-        rows are feasible, and rows found infeasible are remembered (up to
-        ``capacity`` of them; forgetting costs only a re-check).
+        Stored rows are feasible; the rest go to ``problem.feasible_packed``.
         """
-        store, known_bad = self._store, self._infeasible
-        if len(known_bad) > self.capacity:
-            known_bad.clear()
-        bad: List[int] = []
-        unknown: List[int] = []
-        for i in idx:
-            bits = rows[i]
-            if bits in known_bad:
-                bad.append(i)
-            elif bits not in store:
-                unknown.append(i)
-        if unknown:
-            ok = problem.feasible(unpack_genes([rows[i] for i in unknown], problem.w))
-            found = [i for i, good in zip(unknown, ok.tolist()) if not good]
-            known_bad.update(rows[i] for i in found)
-            bad = sorted(bad + found)
-        return bad
+        store = self._store
+        unknown = [i for i in idx if rows[i] not in store]
+        if not unknown:
+            return []
+        ok = problem.feasible_packed([rows[i] for i in unknown])
+        return [i for i, good in zip(unknown, ok) if not good]
 
     def score(self, problem, rows: Sequence[int]) -> Dict[int, Objectives]:
         """Objective rows of the distinct ``rows``, in order of first

@@ -27,11 +27,13 @@ children that dedups and scores them; parents carry their objective rows
 and are not scored again.  Crossover copies a child whose parents are the
 same chromosome, repair runs only when a child is new to the cache, and
 the survivors are built straight from the unique children and the
-parents no child re-created, with no pooled list.  Only rows the cache
-has not seen are unpacked to a uint8 matrix for the problem's numpy
-kernels.  With ``eval_cache=False`` the population is a ``(P, w)`` uint8
-matrix and every operator is a numpy call: that path is the reference the
-differential tests compare the cached loop against, byte for byte.
+parents no child re-created, with no pooled list.  Repair checks the
+packed ints themselves (``problem.feasible_packed``), and only rows the
+cache has not seen are unpacked to a uint8 matrix for the problem's
+numpy evaluation kernel.  With ``eval_cache=False`` the population is a
+``(P, w)`` uint8 matrix and every operator is a numpy call: that path is
+the reference the differential tests compare the cached loop against,
+byte for byte.
 """
 
 from __future__ import annotations
@@ -421,9 +423,10 @@ class MOGASolver:
         """Repair ``rows`` in place, as :meth:`MOOProblem.repair` does.
 
         Each round clears, in every infeasible row in row order, one set
-        non-forced bit picked by ``rng.integers(0, n)`` (the reference's
-        ``dtype=np.int64`` draw: int64 is the default) among the ``n`` such
-        bits in ascending gene order, then re-checks those rows.
+        non-forced bit picked by ``rng.integers(n)`` (the reference's
+        ``integers(0, n, dtype=np.int64)`` draw: the low bound defaults to
+        0 and the dtype to int64) among the ``n`` such bits in ascending
+        gene order, then re-checks those rows.
         """
         free = ~forced_bits
         bad = cache.infeasible(problem, rows, range(len(rows)))
@@ -435,7 +438,7 @@ class MOGASolver:
                     raise SolverError(
                         "cannot repair chromosome: forced genes alone are infeasible"
                     )
-                for _ in range(rng.integers(0, n)):
+                for _ in range(rng.integers(n)):
                     clearable &= clearable - 1  # drop the lowest set bit
                 rows[i] ^= clearable & -clearable
             bad = cache.infeasible(problem, rows, bad)

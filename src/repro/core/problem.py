@@ -25,13 +25,14 @@ non-forced genes; construction validates that the forced set alone fits.
 from __future__ import annotations
 
 import abc
-from typing import Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import SolverError
 from ..rng import SeedLike, make_rng
 from ..simulator.job import Job
+from .evalcache import unpack_genes
 
 
 def _stable_matmul(pop: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -70,6 +71,11 @@ class MOOProblem(abc.ABC):
     @abc.abstractmethod
     def feasible(self, population: np.ndarray) -> np.ndarray:
         """Boolean feasibility vector ``(P,)`` for a population."""
+
+    def feasible_packed(self, rows: Sequence[int]) -> List[bool]:
+        """Feasibility of packed chromosomes (gene ``i`` at bit ``i``):
+        always ``feasible(unpack_genes(rows, w)).tolist()``."""
+        return self.feasible(unpack_genes(rows, self.w)).tolist()
 
     def repair(self, population: np.ndarray, seed: SeedLike = None) -> np.ndarray:
         """Return a feasible copy of ``population``.
@@ -199,6 +205,8 @@ class SelectionProblem(MOOProblem):
         self.demands = np.asarray(demands, dtype=float)
         if self.demands.ndim != 2:
             raise SolverError(f"demands must be (w, k), got {self.demands.shape}")
+        if not np.isfinite(self.demands).all():
+            raise SolverError("demands must be finite")
         if (self.demands < 0).any():
             raise SolverError("demands must be non-negative")
         self.capacities = np.asarray(capacities, dtype=float)
@@ -218,6 +226,9 @@ class SelectionProblem(MOOProblem):
             forced_demand = self.demands[list(self.forced)].sum(axis=0)
             if (forced_demand > self._limits).any():
                 raise SolverError("forced jobs alone exceed available capacity")
+        #: Per-resource byte tables of :meth:`feasible_packed`, built on
+        #: first use.
+        self._byte_tables = None
 
     @classmethod
     def from_window(
@@ -238,6 +249,66 @@ class SelectionProblem(MOOProblem):
         self.assert_shape(population)
         usage = _stable_matmul(population.astype(float), self.demands)
         return (usage <= self._limits).all(axis=1)
+
+    def _build_byte_tables(self) -> list:
+        """``(limit, margin, tables)`` per resource.  ``tables[c][b]`` is the
+        demand of the genes set in byte value ``b`` of byte ``c``, summed in
+        ascending gene order; ``margin`` bounds how far that usage and the
+        kernel's can differ (see :meth:`feasible_packed`)."""
+        per_resource = []
+        for col, limit in zip(self.demands.T.tolist(), self._limits.tolist()):
+            tables = []
+            for c in range(0, self.w, 8):
+                table = [0.0]
+                for d in col[c : c + 8]:  # entry b + 2**j = entry b + d_j
+                    table += [t + d for t in table]
+                tables.append(table)
+            per_resource.append((limit, self.w * 2.0**-50 * sum(col), tables))
+        return per_resource
+
+    def feasible_packed(self, rows: Sequence[int]) -> List[bool]:
+        """:meth:`feasible` of packed rows, summed on Python floats.
+
+        A row's usage of resource ``r`` is one byte-table lookup and one add
+        per byte of genes, a different summation order from the kernel's.
+        Any order of summing ``w`` non-negative terms lies within
+        ``γ_w · S_r`` of the exact sum (``S_r`` the column's total,
+        ``γ_w = w·u / (1 − w·u)``, ``u = 2**-53``), so the two sums differ
+        by at most ``2·γ_w·S_r`` and ``margin = w · 2**-50 · S_r`` covers
+        that with room.  A usage more than ``margin`` below the limit is
+        feasible for the kernel too, and more than ``margin`` above it is
+        infeasible for it too (each comparison rounds monotonically, so it
+        only holds when the exact difference exceeds ``margin``).  Rows in
+        between, and any NaN, go to :meth:`feasible`, so the answers are
+        the kernel's by construction.
+        """
+        per_resource = self._byte_tables
+        if per_resource is None:
+            per_resource = self._byte_tables = self._build_byte_tables()
+        out: List[bool] = []
+        close: List[int] = []
+        for j, bits in enumerate(rows):
+            verdict = True
+            for limit, margin, tables in per_resource:
+                usage = 0.0
+                x = bits
+                for table in tables:
+                    usage += table[x & 255]
+                    x >>= 8
+                if limit - usage > margin:
+                    continue
+                if usage - limit > margin:
+                    verdict = False
+                    break
+                verdict = None  # too close to call: the kernel decides
+            if verdict is None:
+                close.append(j)
+            out.append(verdict)
+        if close:
+            exact = self.feasible(unpack_genes([rows[j] for j in close], self.w))
+            for j, ok in zip(close, exact.tolist()):
+                out[j] = ok
+        return out
 
     def greedy_chromosomes(self) -> np.ndarray:
         """Linear-problem fast path: incremental capacity accounting on Python

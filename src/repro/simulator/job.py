@@ -23,6 +23,7 @@ runs never leave the top row.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional
 
@@ -98,18 +99,23 @@ class Job:
     lost_node_seconds: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
+        # Written as ``not lo <= x < inf`` so that NaN (every comparison
+        # with it is False) and the infinities fail too.
         if self.nodes <= 0:
             raise TraceError(f"job {self.jid}: nodes must be positive, got {self.nodes}")
-        if self.runtime < 0:
-            raise TraceError(f"job {self.jid}: negative runtime {self.runtime}")
-        if self.walltime <= 0:
-            raise TraceError(f"job {self.jid}: walltime must be positive, got {self.walltime}")
-        if self.bb < 0:
-            raise TraceError(f"job {self.jid}: negative burst buffer request {self.bb}")
-        if self.ssd < 0:
-            raise TraceError(f"job {self.jid}: negative SSD request {self.ssd}")
-        if self.submit_time < 0:
-            raise TraceError(f"job {self.jid}: negative submit time {self.submit_time}")
+        if not 0 <= self.runtime < math.inf:
+            raise TraceError(f"job {self.jid}: runtime must be finite and >= 0, got {self.runtime}")
+        if not 0 < self.walltime < math.inf:
+            raise TraceError(f"job {self.jid}: walltime must be finite and > 0, "
+                             f"got {self.walltime}")
+        if not 0 <= self.bb < math.inf:
+            raise TraceError(f"job {self.jid}: bb (burst buffer request) must be finite and >= 0, "
+                             f"got {self.bb}")
+        if not 0 <= self.ssd < math.inf:
+            raise TraceError(f"job {self.jid}: ssd request must be finite and >= 0, got {self.ssd}")
+        if not 0 <= self.submit_time < math.inf:
+            raise TraceError(f"job {self.jid}: submit_time must be finite and >= 0, "
+                             f"got {self.submit_time}")
         if not isinstance(self.deps, frozenset):
             self.deps = frozenset(self.deps)
         if self.jid in self.deps:

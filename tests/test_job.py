@@ -42,6 +42,15 @@ class TestValidation:
         with pytest.raises(TraceError):
             make_job(submit_time=-1.0)
 
+    @pytest.mark.parametrize("field", ["runtime", "walltime", "bb", "ssd", "submit_time"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, field, value):
+        # Every ``x < 0`` check is False for NaN, so a NaN used to validate
+        # and then surfaced far away (a NaN bb_usage, a misleading repair
+        # error in the GA).
+        with pytest.raises(TraceError, match=field):
+            make_job(**{field: value})
+
     def test_self_dependency_rejected(self):
         with pytest.raises(TraceError):
             make_job(deps={1})

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.evalcache import pack_genes, unpack_genes
 from repro.core.problem import (
     SelectionProblem,
     SSDSelectionProblem,
@@ -92,6 +93,12 @@ class TestSelectionProblem:
         with pytest.raises(SolverError):
             SelectionProblem(np.array([[-1.0, 0.0]]), [10.0, 10.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_demand_rejected(self, bad):
+        # ``(demands < 0).any()`` is False for NaN.
+        with pytest.raises(SolverError, match="finite"):
+            SelectionProblem(np.array([[1.0, bad]]), [10.0, 10.0])
+
     def test_capacity_shape_mismatch(self):
         with pytest.raises(SolverError):
             SelectionProblem(np.ones((3, 2)), [10.0])
@@ -167,3 +174,58 @@ class TestSSDSelectionProblem:
         pop = np.ones((6, 3), dtype=np.uint8)
         fixed = p.repair(pop, seed=0)
         assert p.feasible(fixed).all()
+
+
+class TestPackedFeasibility:
+    """``feasible_packed`` answers exactly what the kernel answers."""
+
+    @staticmethod
+    def _packed(problem, rows):
+        """``feasible_packed(rows)``, the kernel's answers, and the rows
+        ``feasible_packed`` sent to the kernel."""
+        seen = []
+        kernel = problem.feasible
+
+        def feasible(pop):
+            seen.extend(pack_genes(pop))
+            return kernel(pop)
+
+        problem.feasible = feasible
+        try:
+            got = problem.feasible_packed(rows)
+        finally:
+            del problem.feasible
+        return got, kernel(unpack_genes(rows, problem.w)).tolist(), seen
+
+    def test_close_call_goes_to_kernel(self):
+        # 0.1 + 0.2 is 0.30000000000000004: the limit sits a few ULPs from
+        # the usage of rows {0, 1} and {2}, well inside the margin.
+        demands = np.array([[1.0, 0.1], [1.0, 0.2], [1.0, 0.3]])
+        p = SelectionProblem(demands, [3.0, (0.1 + 0.2) - 1e-9])
+        assert abs(p._limits[1] - (0.1 + 0.2)) < 4 * np.spacing(0.3)
+        got, want, seen = self._packed(p, list(range(8)))
+        assert sorted(seen) == [0b011, 0b100]
+        assert got == want
+        assert got[0b001] and not got[0b111]
+
+    def test_every_subset_matches_kernel_without_calling_it(self):
+        p = SelectionProblem.from_window(JOBS, 60, 60.0)
+        got, want, seen = self._packed(p, list(range(1 << p.w)))
+        assert got == want and seen == []
+        assert any(got) and not all(got)
+
+    @pytest.mark.parametrize("cap", [np.nan, np.inf, -np.inf])
+    def test_non_finite_capacity(self, cap):
+        p = SelectionProblem(window_demand_matrix(JOBS), [1000.0, cap])
+        rows = list(range(1 << p.w))
+        got, want, seen = self._packed(p, rows)
+        assert got == want
+        # NaN is never certified, so every row reaches the kernel.
+        assert seen == (rows if np.isnan(cap) else [])
+
+    def test_ssd_problem_uses_the_kernel(self):
+        jobs = [make_job(1, 2, bb=10.0, ssd=64.0), make_job(2, 2, ssd=200.0),
+                make_job(3, 2, bb=15.0, ssd=200.0)]
+        p = SSDSelectionProblem(jobs, 4, 20.0, {128.0: 2, 256.0: 2})
+        got, want, _ = self._packed(p, list(range(8)))
+        assert got == want and not all(got) and any(got)

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.evalcache import unpack_genes
 from repro.core.exhaustive import ExhaustiveSolver, bit_matrix
 from repro.core.ga import MOGASolver, crowding_distance
 from repro.core.gd import generational_distance, hypervolume_2d
 from repro.core.pareto import _pairwise_mask, non_dominated_mask, pareto_front_2d
 from repro.core.problem import SelectionProblem
+from repro.errors import SolverError
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -41,6 +43,40 @@ def forced_selection_problems(draw, max_w=8):
             forced.append(i)
             total += base.demands[i]
     return SelectionProblem(base.demands, base.capacities, forced=forced)
+
+
+@st.composite
+def theta_scale_problems(draw):
+    """Selection problems at Theta's magnitudes (up to 4 392 nodes, burst
+    buffer requests up to about 4.6e5 GB of about 2.3e6 free) with
+    fractional requests, ``w`` up to 70 (nine bytes of genes), forced
+    genes, and packed rows to check.  Each capacity is either random or
+    a few ULPs from the usage of one drawn row, so rows land on both sides
+    of the limit and inside the margin."""
+    w = draw(st.integers(1, 70))
+    nodes = draw(st.lists(st.integers(1, 4392), min_size=w, max_size=w))
+    bbs = draw(st.lists(st.floats(0.0, 4.6e5), min_size=w, max_size=w))
+    demands = np.column_stack([np.array(nodes, dtype=float), np.array(bbs)])
+    rows = draw(st.lists(st.integers(0, (1 << w) - 1), min_size=1, max_size=40))
+    anchor = unpack_genes([rows[0]], w).astype(float)
+    caps = []
+    for r, random_cap in enumerate([4392.0, 2.3e6]):
+        if draw(st.booleans()):
+            caps.append(draw(st.floats(0.0, random_cap)))
+        else:
+            usage = np.einsum("ij,j->i", anchor, demands[:, r])[0]
+            cap = usage - 1e-9
+            for _ in range(draw(st.integers(0, 4))):
+                cap = np.nextafter(cap, draw(st.sampled_from([-np.inf, np.inf])))
+            caps.append(float(cap))
+    forced = [i for i in draw(st.lists(st.integers(0, w - 1), max_size=3))
+              if demands[i, 0] <= caps[0] and demands[i, 1] <= caps[1]]
+    try:
+        problem = SelectionProblem(demands, caps, forced=forced)
+    except SolverError:  # the forced genes together do not fit
+        problem = SelectionProblem(demands, caps)
+    forced_bits = sum(1 << i for i in problem.forced)
+    return problem, rows + [bits | forced_bits for bits in rows]
 
 
 #: Matrices whose columns each hold pairwise-distinct values — crowding
@@ -176,6 +212,15 @@ class TestProblemProperties:
         fixed = problem.repair(pop, seed)
         again = problem.repair(fixed, seed + 1)
         assert (again == fixed).all()
+
+    @given(theta_scale_problems())
+    @settings(**COMMON, max_examples=200)
+    def test_packed_feasibility_equals_kernel(self, case):
+        """The packed check answers as the kernel does, row for row, also
+        for rows within a few ULPs of a limit."""
+        problem, rows = case
+        expected = problem.feasible(unpack_genes(rows, problem.w)).tolist()
+        assert problem.feasible_packed(rows) == expected
 
 
 # --- GA / exhaustive invariants --------------------------------------------------------

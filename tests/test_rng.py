@@ -131,6 +131,27 @@ class TestMergedBoundedDraws:
                 assert type(a) is type(b) and a == b, seed
             assert plain.bit_generator.state == typed.bit_generator.state, seed
 
+    def test_one_argument_scalar_draw_equals_two_argument(self):
+        # Repair draws ``integers(n)``; the reference draws
+        # ``integers(0, n, dtype=np.int64)``.
+        buffers = set()
+        for seed in self.SEEDS:
+            one, two, typed = self._warm(seed), self._warm(seed), self._warm(seed)
+            buffers.add(one.bit_generator.state["has_uint32"])
+            before = one.bit_generator.state
+            assert one.integers(1) == two.integers(0, 1) == 0
+            assert typed.integers(0, 1, dtype=np.int64) == 0
+            assert one.bit_generator.state == before, seed  # n == 1 takes no word
+            bounds = np.random.default_rng(seed).integers(1, 70, size=50).tolist()
+            bounds += [1, 2**31 + 1, 2**31 - 1]
+            for n in bounds:
+                a, b = one.integers(n), two.integers(0, n)
+                c = typed.integers(0, n, dtype=np.int64)
+                assert type(a) is type(b) is type(c) and a == b == c, seed
+            assert one.bit_generator.state == two.bit_generator.state, seed
+            assert one.bit_generator.state == typed.bit_generator.state, seed
+        assert buffers == {0, 1}
+
     def test_flat_random_equals_matrix_random(self):
         for seed in self.SEEDS:
             n, w = int(seed % 40) + 1, int(seed % 64) + 1
