@@ -1,12 +1,12 @@
-"""Engine hot-path speedup: array-backed fast path vs the reference engine.
+"""Engine hot-path speedup: the array-backed engine vs the reference engine.
 
-The fast engine (:class:`repro.simulator.engine.SchedulingEngine` with
-``fast=True``, the default) vectorizes queue ordering through the
-:class:`~repro.simulator.jobtable.JobTable`, caches the FCFS ordering
-across passes, maintains planned releases incrementally, and batch-pops
-simultaneous events.  ``tests/test_differential.py`` proves all of it is
-byte-identical to the reference path (``fast=False``, CLI
-``--no-fast-engine``), so the only question left is wall-clock.
+The engine (:class:`repro.simulator.engine.SchedulingEngine`) vectorizes
+queue ordering through the :class:`~repro.simulator.jobtable.JobTable`,
+caches the FCFS ordering across passes, maintains planned releases
+incrementally, and batch-pops simultaneous events.
+``tests/test_differential.py`` proves all of it is byte-identical to the
+reference engine kept as a test oracle (``tests/oracles.py``), so the
+only question left is wall-clock.
 
 The design target is **>=1.5x** end-to-end on an *engine-dominated*
 configuration: the Baseline (FCFS + EASY) scheduler on Cori-S1, where no
@@ -18,7 +18,7 @@ too shallow to amortize anything, so only fast-path *engagement* is
 asserted and the (near-1x) timing is recorded for the trail.
 
 Also recorded: the fast engine's incremental gain on BBSched *on top of*
-the GA evaluation cache (both sides run ``eval_cache=True``), at the
+the GA evaluation cache (both sides run the cached GA loop), at the
 session scale.  That number is expected to be modest — the GA dominates
 those runs — and is not asserted.
 
@@ -30,8 +30,10 @@ from __future__ import annotations
 import json
 import pathlib
 import time
+from contextlib import nullcontext
 
 from repro.experiments import get_scale, get_workload, run_one
+from tests.oracles import reference_paths
 
 from conftest import RESULTS_DIR, run_once
 
@@ -56,14 +58,19 @@ def _engine_scale(scale):
     return scale if scale.name == "smoke" else get_scale("paper")
 
 
-def _run(scale, fast_engine):
-    trace = get_workload("Cori-S1", scale)
-    return run_one(trace, "Baseline", scale, seed=0, fast_engine=fast_engine)
+def _simulate(workload, method, scale, fast):
+    """One run on the engine, or on the reference engine."""
+    trace = get_workload(workload, scale)
+    with nullcontext() if fast else reference_paths(ga=False):
+        return run_one(trace, method, scale, seed=0)
 
 
-def _run_bbsched(scale, fast_engine):
-    trace = get_workload("Theta-S4", scale)
-    return run_one(trace, "BBSched", scale, seed=0, fast_engine=fast_engine)
+def _run(scale, fast):
+    return _simulate("Cori-S1", "Baseline", scale, fast)
+
+
+def _run_bbsched(scale, fast):
+    return _simulate("Theta-S4", "BBSched", scale, fast)
 
 
 def test_bench_simulate_fast_engine(benchmark, scale):
@@ -101,8 +108,7 @@ def test_fast_engine_speedup(scale, save_result):
 
     # Engagement counters from the engine's metrics registry.
     trace = get_workload("Cori-S1", core)
-    metered = run_one(trace, "Baseline", core, seed=0, fast_engine=True,
-                      collect_telemetry=True)
+    metered = run_one(trace, "Baseline", core, seed=0, collect_telemetry=True)
     counters = metered.telemetry.metrics.counters
     order = {
         key: counters[f"engine.order.{key}"].value

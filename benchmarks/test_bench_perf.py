@@ -1,9 +1,10 @@
-"""Solver hot-path speedup: memoized GA evaluation vs the reference path.
+"""Solver hot-path speedup: the cached GA loop vs the reference loop.
 
-The evaluation cache (:mod:`repro.core.evalcache`) is a pure perf
-feature — ``tests/test_differential.py`` proves its output is
-byte-identical to ``eval_cache=False`` — so the only question left is
-how much wall-clock it buys.  The design target is **>=1.5x** on a
+The GA's bit-packed loop with its evaluation cache
+(:mod:`repro.core.evalcache`) is a pure perf feature —
+``tests/test_differential.py`` proves its output is byte-identical to
+the numpy reference loop kept as a test oracle (``tests/oracles.py``) —
+so the only question left is how much wall-clock it buys.  The design target is **>=1.5x** on a
 GA-dominated simulate at the default scale (Theta-S4 under BBSched,
 where the MOGA solver dominates the run).  This bench times both sides
 with alternated paired runs, harvests the cache's own hit/miss counters
@@ -15,8 +16,10 @@ from __future__ import annotations
 import json
 import pathlib
 import time
+from contextlib import nullcontext
 
 from repro.experiments import get_workload, run_one
+from tests.oracles import reference_paths
 
 from conftest import RESULTS_DIR, run_once
 
@@ -31,9 +34,11 @@ DESIGN_TARGET = 1.5
 ASSERT_FLOOR = 1.2
 
 
-def _run(scale, eval_cache):
+def _run(scale, cached):
+    """One run on the cached GA loop, or on the reference loop."""
     trace = get_workload("Theta-S4", scale)
-    return run_one(trace, "BBSched", scale, seed=0, eval_cache=eval_cache)
+    with nullcontext() if cached else reference_paths(engine=False):
+        return run_one(trace, "BBSched", scale, seed=0)
 
 
 def test_bench_simulate_cache_on(benchmark, scale):
@@ -47,7 +52,7 @@ def test_bench_simulate_cache_off(benchmark, scale):
 
 
 def test_eval_cache_speedup(scale, save_result):
-    """Memoized evaluation must beat the reference path end-to-end.
+    """The cached loop must beat the reference loop end-to-end.
 
     Median of alternated paired runs (both paths warmed first), so a
     load spike hits the two sides evenly instead of biasing one.  The
@@ -70,8 +75,7 @@ def test_eval_cache_speedup(scale, save_result):
 
     # Hit/miss/eviction totals from the engine's metrics registry.
     trace = get_workload("Theta-S4", scale)
-    metered = run_one(trace, "BBSched", scale, seed=0, eval_cache=True,
-                      collect_telemetry=True)
+    metered = run_one(trace, "BBSched", scale, seed=0, collect_telemetry=True)
     counters = metered.telemetry.metrics.counters
     cache = {
         key: counters[f"ga.eval_cache.{key}"].value

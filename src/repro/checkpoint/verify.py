@@ -86,7 +86,6 @@ def verify_resume(
     seed: Any = None,
     faults: Any = None,
     retry: Any = None,
-    eval_cache: bool = True,
     stop_fraction: float = 0.5,
     workdir: Optional[str] = None,
 ) -> VerifyReport:
@@ -97,24 +96,21 @@ def verify_resume(
     that the "interrupted" run finished (pick a smaller
     ``stop_fraction``).  ``workdir`` hosts the temporary checkpoint
     (defaults to the trace name under the current directory's
-    ``.verify_resume``).  ``eval_cache`` reaches the reference and
-    interrupted runs; the resumed run inherits whatever the snapshot
-    baked in (the GA's memo store itself is dropped on pickling and
-    rebuilt lazily, so it never rides along in a checkpoint).
+    ``.verify_resume``).  The GA's memo store is dropped on pickling and
+    rebuilt lazily, so it never rides along in a checkpoint.
     """
     from ..experiments.runner import run_one  # circular at import time
 
     if not 0.0 < stop_fraction < 1.0:
         raise CheckpointError(f"stop_fraction must be in (0, 1), got {stop_fraction}")
-    reference = run_one(trace, method, scale, seed=seed, faults=faults, retry=retry,
-                        eval_cache=eval_cache)
+    reference = run_one(trace, method, scale, seed=seed, faults=faults, retry=retry)
     base = Path(workdir) if workdir is not None else Path(".verify_resume")
     ckpt = base / f"{reference.workload}_{method}.ckpt"
     cut = stop_fraction * reference.makespan
     config = CheckpointConfig(path=str(ckpt), every_hours=0.0, stop_after=cut)
     try:
         run_one(trace, method, scale, seed=seed, faults=faults, retry=retry,
-                eval_cache=eval_cache, checkpoint=config)
+                checkpoint=config)
     except SimulationInterrupted as exc:
         cut_time = exc.sim_time
     else:

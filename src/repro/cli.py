@@ -269,8 +269,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     result = exp.run_one(trace, args.method, scale, seed=args.seed,
                                          retry=retry, checkpoint=checkpoint,
                                          resume_from=args.resume_from,
-                                         eval_cache=not args.no_eval_cache,
-                                         fast_engine=not args.no_fast_engine,
                                          solver=args.solver,
                                          yardstick=args.yardstick)
             except SimulationInterrupted as exc:
@@ -596,13 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--yardstick", action="store_true",
                        help="re-solve every selection pass exactly (MILP) "
                             "and report the method-vs-exact optimality gap")
-    p_sim.add_argument("--no-eval-cache", action="store_true",
-                       help="disable the GA evaluation memo (slower reference "
-                            "path; results are byte-identical either way)")
-    p_sim.add_argument("--no-fast-engine", action="store_true",
-                       help="disable the array-backed engine fast path "
-                            "(slower reference path; results are "
-                            "byte-identical either way)")
     p_sim.add_argument("--faults", default=None, choices=sorted(SCENARIOS),
                        help="named fault scenario to inject")
     p_sim.add_argument("--watchdog", type=float, default=None, metavar="SECONDS",

@@ -46,9 +46,6 @@ class BBSchedSelector(Selector):
         Seed for the solver's random stream (one stream across
         invocations; deterministic solvers never consume it, so swapping
         them in and out does not perturb GA-seeded runs).
-    eval_cache:
-        Memoize GA objective evaluations (byte-identical results, see
-        :mod:`repro.core.evalcache`); ``False`` is the reference path.
     solver:
         A :class:`WindowSolver` instance, a registry name
         (``"ga"``, ``"scalar"``, ``"milp"``, ``"exhaustive"``), or ``None``
@@ -70,7 +67,6 @@ class BBSchedSelector(Selector):
         selection: str = "age",
         decision: Optional[DecisionRule] = None,
         seed: SeedLike = None,
-        eval_cache: bool = True,
         solver: Union[WindowSolver, str, None] = None,
         yardstick: Optional[OptimalityYardstick] = None,
     ) -> None:
@@ -81,7 +77,6 @@ class BBSchedSelector(Selector):
                 population=population,
                 mutation=mutation,
                 selection=selection,
-                eval_cache=eval_cache,
             )
         elif isinstance(solver, str):
             from ..solvers.registry import make_window_solver
@@ -92,7 +87,6 @@ class BBSchedSelector(Selector):
                 population=population,
                 mutation=mutation,
                 selection=selection,
-                eval_cache=eval_cache,
             )
         self.solver: WindowSolver = solver
         self.decision = decision
@@ -101,7 +95,7 @@ class BBSchedSelector(Selector):
 
     @property
     def eval_cache_stats(self):
-        """Solver cache counters (``None`` when caching is disabled).
+        """Solver cache counters (``None`` for a solver without a cache).
 
         The engine harvests these at end of run into the
         ``ga.eval_cache.*`` telemetry counters.

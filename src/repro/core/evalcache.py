@@ -1,8 +1,7 @@
 """Bit-packed chromosomes and the memoized evaluation for the GA hot loop.
 
-The cached GA loop (:class:`~repro.core.ga.MOGASolver` with
-``eval_cache=True``) carries each chromosome as a Python int with gene
-``i`` at bit ``i`` (:func:`pack_genes` / :func:`unpack_genes`; Python ints
+The GA loop (:class:`~repro.core.ga.MOGASolver`) carries each
+chromosome as a Python int with gene ``i`` at bit ``i`` (:func:`pack_genes` / :func:`unpack_genes`; Python ints
 have no width limit).  Every generation scores its ``P`` children; the
 parents carry their objective rows with them, and crossover routinely
 reproduces chromosomes seen many generations ago.
@@ -20,7 +19,8 @@ holds because the problems' evaluation kernels are *row-subset stable* —
 each output row depends only on its own input row and is computed by
 per-row reductions (``np.einsum`` / the SSD assignment sweep), not by a
 blocked BLAS matmul whose per-row results shift with the batch size.
-``tests/test_differential.py`` pins this end-to-end.
+``tests/test_differential.py`` pins this end-to-end against the numpy
+reference loop in ``tests/oracles.py``, which evaluates every row.
 
 Because every chromosome enters the store *after* repair, store membership
 doubles as a known-feasible certificate: repair sends only rows not in the

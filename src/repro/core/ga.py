@@ -19,21 +19,20 @@ returned.  Infeasible chromosomes are repaired by gene clearing (the
 problem's :meth:`~repro.core.problem.MOOProblem.repair`) — an ablation flag
 switches to NSGA-II-style crowding-distance selection for comparison.
 
-With the evaluation cache on (the default) each chromosome is a Python int
-with gene ``i`` at bit ``i``, and the population is a list of ``(bits,
-age, objectives)`` members.  A generation costs one ``integers`` call
-(padding, parents, cuts), one ``random`` call, and one pass over the
-children that dedups and scores them; parents carry their objective rows
-and are not scored again.  Crossover copies a child whose parents are the
-same chromosome, repair runs only when a child is new to the cache, and
-the survivors are built straight from the unique children and the
-parents no child re-created, with no pooled list.  Repair checks the
-packed ints themselves (``problem.feasible_packed``), and only rows the
-cache has not seen are unpacked to a uint8 matrix for the problem's
-numpy evaluation kernel.  With ``eval_cache=False`` the population is a
-``(P, w)`` uint8 matrix and every operator is a numpy call: that path is
-the reference the differential tests compare the cached loop against,
-byte for byte.
+Each chromosome is a Python int with gene ``i`` at bit ``i``, and the
+population is a list of ``(bits, age, objectives)`` members.  A generation
+costs one ``integers`` call (padding, parents, cuts), one ``random`` call,
+and one pass over the children that dedups and scores them; parents carry
+their objective rows and are not scored again.  Crossover copies a child
+whose parents are the same chromosome, repair runs only when a child is
+new to the cache, and the survivors are built straight from the unique
+children and the parents no child re-created, with no pooled list.
+Repair checks the packed ints themselves (``problem.feasible_packed``),
+and only rows the cache has not seen are unpacked to a uint8 matrix for
+the problem's numpy evaluation kernel.  Every objective row is memoized
+in a per-solver :class:`~repro.core.evalcache.EvaluationCache`.  The loop
+is pinned byte for byte to the plain numpy loop over a ``(P, w)`` uint8
+matrix, which lives on as a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from ..errors import SolverError
 from ..rng import SeedLike, make_rng, restore_rng_state, rng_state
 from ..telemetry import NULL_SPAN, get_tracer
 from .evalcache import EvaluationCache, Objectives, pack_genes, unpack_genes
-from .pareto import non_dominated_mask, unique_front
+from .pareto import non_dominated_mask
 from .problem import MOOProblem
 
 from .params import DEFAULT_GENERATIONS, DEFAULT_MUTATION, DEFAULT_POPULATION
@@ -177,15 +176,6 @@ class MOGASolver:
         switched off for paper-exact runs.
     seed:
         Seed or generator for all stochastic operators.
-    eval_cache:
-        Run the bit-packed generation loop, which memoizes objective rows
-        across generations (and skips feasibility checks for chromosomes
-        whose feasibility it already knows).  Results are
-        byte-identical either way — the problems' evaluation kernels are
-        row-subset stable (see :mod:`repro.core.evalcache`) and the
-        differential suite pins it — so this is on by default; ``False``
-        is the numpy reference path (and the CLI's ``--no-eval-cache``
-        escape hatch).
     """
 
     def __init__(
@@ -196,7 +186,6 @@ class MOGASolver:
         selection: str = "age",
         seed_greedy: bool = True,
         seed: SeedLike = None,
-        eval_cache: bool = True,
     ) -> None:
         if generations < 0:
             raise SolverError(f"generations must be >= 0, got {generations}")
@@ -212,7 +201,6 @@ class MOGASolver:
         self.selection = selection
         self.seed_greedy = seed_greedy
         self._seed = seed
-        self.eval_cache = eval_cache
         #: Lazily built per-solver :class:`EvaluationCache`; dropped on
         #: pickling (checkpoint snapshots) and rebuilt on first solve.
         self._cache: Optional[EvaluationCache] = None
@@ -222,27 +210,25 @@ class MOGASolver:
     # costs re-evaluation after resume, never changes results (proved by
     # tests/test_differential.py's resume cycle).  Its counters go with it
     # — they are wall-clock-class observability, deliberately outside the
-    # run fingerprint.  ``__setstate__`` defaults the newer attributes so
+    # run fingerprint.  ``__setstate__`` defaults the cache slot so
     # snapshots written before the cache existed still load, and drops the
-    # removed ``fast_repair`` and ``cache_capacity`` knobs that older
-    # snapshots still carry.
+    # removed ``eval_cache``, ``fast_repair`` and ``cache_capacity`` knobs
+    # that older snapshots still carry.
     def __getstate__(self) -> Dict:
         state = self.__dict__.copy()
         state["_cache"] = None
         return state
 
     def __setstate__(self, state: Dict) -> None:
-        state.setdefault("eval_cache", True)
+        state.pop("eval_cache", None)
         state.pop("cache_capacity", None)
         state.pop("fast_repair", None)
         state.setdefault("_cache", None)
         self.__dict__.update(state)
 
     @property
-    def eval_cache_stats(self) -> Optional[Dict[str, int]]:
-        """Cumulative cache counters, or ``None`` when caching is off."""
-        if not self.eval_cache:
-            return None
+    def eval_cache_stats(self) -> Dict[str, int]:
+        """Cumulative cache counters, zero before the first solve."""
         if self._cache is None:
             return {"hits": 0, "misses": 0, "deduped": 0, "evictions": 0}
         return self._cache.stats()
@@ -266,139 +252,11 @@ class MOGASolver:
             raise SolverError("solver does not own a persistent RNG stream")
         restore_rng_state(self._seed, state)
 
-    # --- reference path: numpy operators on a (P, w) uint8 matrix --------------
-    def _crossover(self, parents: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Single-point crossover of random parent pairs → ``P`` children."""
-        P, w = parents.shape
-        pairs = (P + 1) // 2
-        mothers = parents[rng.integers(0, P, size=pairs)]
-        fathers = parents[rng.integers(0, P, size=pairs)]
-        if w < 2:
-            children = np.concatenate([mothers, fathers])[:P]
-            return np.ascontiguousarray(children)
-        cuts = rng.integers(1, w, size=pairs)  # cut in [1, w-1]
-        positions = np.arange(w)
-        left = positions[None, :] < cuts[:, None]  # (pairs, w)
-        child_a = np.where(left, mothers, fathers)
-        child_b = np.where(left, fathers, mothers)
-        children = np.concatenate([child_a, child_b])[:P]
-        return np.ascontiguousarray(children.astype(np.uint8))
-
-    def _mutate(self, children: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Independent per-gene bit flips with probability ``p_m``."""
-        if self.mutation == 0.0:
-            return children
-        flips = rng.random(children.shape) < self.mutation
-        children ^= flips.astype(np.uint8)
-        return children
-
-    def _dedup_youngest(self, genes: np.ndarray, ages: np.ndarray) -> np.ndarray:
-        """Indices keeping the youngest copy of each distinct chromosome.
-
-        Identical genes are one *solution*, and without dedup the Pareto
-        set floods with clones of a single point, which freezes the
-        crossover gene pool and stalls exploration.  Returns the kept
-        rows in age-sorted (stable) order.
-        """
-        order = np.lexsort((ages,))
-        rows = np.ascontiguousarray(genes[order])
-        voided = rows.view([("", rows.dtype)] * rows.shape[1]).ravel()
-        _, first = np.unique(voided, return_index=True)
-        return order[np.sort(first)]
-
-    def _survivors(
-        self,
-        genes: np.ndarray,
-        objectives: np.ndarray,
-        ages: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Survival selection → indices (into the pool) of the next generation.
-
-        Duplicate chromosomes are collapsed first (keeping the youngest
-        copy, see :meth:`_dedup_youngest`).  If fewer than ``P`` unique
-        chromosomes exist, the survivors are recycled to keep the
-        population size constant.
-        """
-        P = self.population
-        keep_idx = self._dedup_youngest(genes, ages)
-        objectives = objectives[keep_idx]
-        ages = ages[keep_idx]
-        pareto = non_dominated_mask(objectives)
-        set1 = np.flatnonzero(pareto)
-        set2 = np.flatnonzero(~pareto)
-        if self.selection == "crowding":
-            # Ablation: rank by (front, -crowding) like NSGA-II truncation.
-            if set1.size >= P:
-                dist = crowding_distance(objectives[set1])
-                keep = set1[np.argsort(-dist, kind="stable")[:P]]
-            else:
-                dist2 = crowding_distance(objectives[set2]) if set2.size else np.zeros(0)
-                filler = set2[np.argsort(-dist2, kind="stable")[: P - set1.size]]
-                keep = np.concatenate([set1, filler])
-        else:
-            # Paper scheme: Set 1 passes; newer (lower age) wins everywhere.
-            if set1.size >= P:
-                keep = set1[np.argsort(ages[set1], kind="stable")[:P]]
-            else:
-                filler = set2[np.argsort(ages[set2], kind="stable")[: P - set1.size]]
-                keep = np.concatenate([set1, filler])
-        if keep.size < P:
-            # Fewer unique chromosomes than P: recycle survivors (sampled
-            # with replacement) so the population size stays constant.
-            pad = rng.integers(0, keep.size, size=P - keep.size)
-            keep = np.concatenate([keep, keep[pad]])
-        return keep_idx[keep]
-
-    def _evolve_once(
-        self,
-        problem: MOOProblem,
-        genes: np.ndarray,
-        ages: np.ndarray,
-        forced: list,
-        rng: np.random.Generator,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One reference generation: crossover → mutate → repair → selection."""
-        children = self._crossover(genes, rng)
-        children = self._mutate(children, rng)
-        if forced:
-            children[:, forced] = 1
-        children = problem.repair(children, rng)
-        pool_genes = np.concatenate([genes, children])
-        pool_ages = np.concatenate(
-            [ages + 1, np.zeros(children.shape[0], dtype=np.int64)]
-        )
-        pool_obj = problem.evaluate(pool_genes)
-        keep = self._survivors(pool_genes, pool_obj, pool_ages, rng)
-        return pool_genes[keep], pool_ages[keep]
-
-    def _solve_reference(
-        self, problem: MOOProblem, rng: np.random.Generator, tracer
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Unique Pareto rows of the final population, evaluating everything."""
-        genes = problem.random_population(self.population, rng)
-        forced = list(problem.forced)
-        if self.seed_greedy:
-            seeds = problem.greedy_chromosomes()
-            if seeds.shape[0]:
-                if forced:
-                    seeds = seeds.copy()
-                    seeds[:, forced] = 1
-                seeds = problem.repair(seeds, rng)
-                k = min(seeds.shape[0], self.population)
-                genes[:k] = seeds[:k]
-        ages = np.zeros(self.population, dtype=np.int64)
-        for gen in range(self.generations):
-            with tracer.span("ga_generation", gen=gen) if tracer.fine else NULL_SPAN:
-                genes, ages = self._evolve_once(problem, genes, ages, forced, rng)
-        objectives = problem.evaluate(genes)
-        front = non_dominated_mask(objectives)
-        return unique_front(genes[front], objectives[front])
-
     # --- cached path: bit-packed operators on lists of members -----------------
-    # Each operator draws the same bit-generator words as its reference twin, in
-    # order (calls merge where numpy's bounded sampler draws per element, as
-    # tests/test_rng.py pins), so both paths give byte-identical populations.
+    # Each operator draws the same bit-generator words as its twin in the numpy
+    # reference loop (tests/oracles.py), in order (calls merge where numpy's
+    # bounded sampler draws per element, as tests/test_rng.py pins), so both
+    # loops give byte-identical populations.
     def _mutate_bits(
         self, children: List[int], w: int, rng: np.random.Generator
     ) -> List[int]:
@@ -580,14 +438,12 @@ class MOGASolver:
                 genes=np.zeros((0, 0), dtype=np.uint8),
                 objectives=np.zeros((0, problem.n_objectives)),
             )
-        cache = None
-        if self.eval_cache:
-            cache = self._cache
-            if cache is None:
-                cache = self._cache = EvaluationCache()
-            # A chromosome only means something relative to one problem
-            # instance; counters accumulate across solves, the store not.
-            cache.reset()
+        cache = self._cache
+        if cache is None:
+            cache = self._cache = EvaluationCache()
+        # A chromosome only means something relative to one problem
+        # instance; counters accumulate across solves, the store not.
+        cache.reset()
         tracer = get_tracer()
         with tracer.span(
             "ga_solve",
@@ -595,19 +451,15 @@ class MOGASolver:
             objectives=problem.n_objectives,
             generations=self.generations,
             population=self.population,
-            eval_cache=cache is not None,
         ) as solve_span:
             # Per-generation spans are the highest-volume instrumentation in
             # the repo — emitted only under Tracer(fine=True).
-            if cache is None:
-                g, o = self._solve_reference(problem, rng, tracer)
-            else:
-                before = cache.stats()
-                g, o = self._solve_cached(problem, rng, tracer, cache)
-                after = cache.stats()
-                solve_span.set(
-                    cache_hits=after["hits"] - before["hits"],
-                    cache_misses=after["misses"] - before["misses"],
-                )
-            solve_span.set(front=int(g.shape[0]))
+            before = cache.stats()
+            g, o = self._solve_cached(problem, rng, tracer, cache)
+            after = cache.stats()
+            solve_span.set(
+                cache_hits=after["hits"] - before["hits"],
+                cache_misses=after["misses"] - before["misses"],
+                front=int(g.shape[0]),
+            )
         return ParetoSet(genes=g, objectives=o)

@@ -54,7 +54,6 @@ class ScalarGASolver(MOGASolver):
         population: int = DEFAULT_POPULATION,
         mutation: float = DEFAULT_MUTATION,
         seed: SeedLike = None,
-        eval_cache: bool = True,
     ) -> None:
         super().__init__(
             generations=generations,
@@ -62,7 +61,6 @@ class ScalarGASolver(MOGASolver):
             mutation=mutation,
             selection="age",
             seed=seed,
-            eval_cache=eval_cache,
         )
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
@@ -74,28 +72,12 @@ class ScalarGASolver(MOGASolver):
                 f"problem has {k} objectives, solver has {self.coeffs.size} coefficients"
             )
 
-    def _survivors(self, genes, objectives, ages, rng):
-        """Keep the ``P`` fittest *unique* chromosomes (pool indices).
-
-        Duplicates are collapsed (youngest copy kept) for the same reason
-        as in :class:`MOGASolver`: clones freeze the crossover gene pool.
-        Newer chromosomes win fitness ties.
-        """
-        self._check_objectives(objectives.shape[1])
-        idx = self._dedup_youngest(genes, ages)
-        fitness = objectives[idx] @ self.coeffs
-        order = np.lexsort((ages[idx], -fitness))
-        keep = order[: self.population]
-        if keep.size < self.population:
-            pad = rng.integers(0, keep.size, size=self.population - keep.size)
-            keep = np.concatenate([keep, keep[pad]])
-        return idx[keep]
-
     def _select(self, objs):
-        """Cached-loop twin of :meth:`_survivors`: the ``P`` fittest, unpadded.
+        """Keep the ``P`` fittest *unique* chromosomes, unpadded.
 
-        ``objs`` is youngest first and the sort is stable, so newer
-        chromosomes win fitness ties, as with the reference's age key.
+        ``objs`` holds one row per unique chromosome (clones freeze the
+        crossover gene pool), youngest first, and the sort is stable, so
+        newer chromosomes win fitness ties.
         """
         self._check_objectives(len(objs[0]))
         fitness = (np.array(objs) @ self.coeffs).tolist()

@@ -83,10 +83,8 @@ def run_one(
     faults: Optional[FaultScenario] = None,
     retry: Optional[RetryPolicy] = None,
     watchdog_budget: Optional[float] = None,
-    eval_cache: bool = True,
     solver: Optional[str] = None,
     yardstick: bool = False,
-    fast_engine: bool = True,
     collect_telemetry: bool = False,
     checkpoint: Optional[CheckpointConfig] = None,
     resume_from: Optional[str] = None,
@@ -99,23 +97,12 @@ def run_one(
     figure experiment reruns under a fault scenario by replacing its
     scale (see ``Scale.faults``) or any single run by passing them here.
 
-    ``eval_cache=False`` disables the GA evaluation memo
-    (:mod:`repro.core.evalcache`) — the slower reference path that
-    produces byte-identical results, used by the differential tests and
-    the performance benchmark.  Like the other selector knobs it is baked
-    into checkpoints and therefore ignored on resume.
-
     ``solver`` names a window solver from :mod:`repro.solvers.registry`
     (``"ga"``, ``"scalar"``, ``"milp"``, ``"exhaustive"``) for the
     solver-backed methods; ``yardstick=True`` re-solves every selection
     pass exactly and attaches the GA-vs-exact optimality-gap summary to
     the result (see ``docs/solvers.md``).  Both are baked into
     checkpoints, like the other selector knobs.
-
-    ``fast_engine=False`` likewise disables the engine's array-backed fast
-    path (vectorized queue ordering, the FCFS order cache, incremental
-    planned releases) — again a byte-identical reference path, exposed on
-    the CLI as ``--no-fast-engine`` and pinned by the differential tests.
 
     ``collect_telemetry=True`` installs a private tracer for the run and
     attaches a :class:`~repro.telemetry.TelemetrySnapshot` to the result
@@ -153,7 +140,6 @@ def run_one(
             population=sc.population,
             mutation=sc.mutation,
             seed=seed if seed is not None else BASE_SEED ^ stable_hash(method) & 0xFFFF,
-            eval_cache=eval_cache,
             solver=solver,
             yardstick=yardstick,
         )
@@ -173,7 +159,6 @@ def run_one(
             backfill=EasyBackfill(),
             faults=injector,
             retry=retry,
-            fast=fast_engine,
         )
         run_engine = lambda: engine.run(trace.fresh_jobs(), checkpointer=checkpointer)  # noqa: E731
     checkpointer = None

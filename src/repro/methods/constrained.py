@@ -39,9 +39,6 @@ class ConstrainedSelector(Selector):
     target:
         ``"cpu"``, ``"bb"``, or ``"ssd"`` — which utilization to maximize.
         ``"ssd"`` requires a cluster with local SSD tiers.
-    eval_cache:
-        Memoize GA objective evaluations (byte-identical results, see
-        :mod:`repro.core.evalcache`); ``False`` is the reference path.
     solver:
         A :class:`WindowSolver`, a registry name, or ``None`` for the
         scalar GA built from the knobs above.
@@ -58,7 +55,6 @@ class ConstrainedSelector(Selector):
         population: int = DEFAULT_POPULATION,
         mutation: float = DEFAULT_MUTATION,
         seed: SeedLike = None,
-        eval_cache: bool = True,
         solver: Union[WindowSolver, str, None] = None,
         yardstick: Optional[OptimalityYardstick] = None,
     ) -> None:
@@ -74,7 +70,6 @@ class ConstrainedSelector(Selector):
                 generations=generations,
                 population=population,
                 mutation=mutation,
-                eval_cache=eval_cache,
             )
         elif isinstance(solver, str):
             from ..solvers.registry import make_window_solver
@@ -84,7 +79,6 @@ class ConstrainedSelector(Selector):
                 generations=generations,
                 population=population,
                 mutation=mutation,
-                eval_cache=eval_cache,
             )
         self.solver: WindowSolver = solver
         self.yardstick = yardstick
@@ -92,7 +86,8 @@ class ConstrainedSelector(Selector):
 
     @property
     def eval_cache_stats(self):
-        """Cumulative cache counters across all select() calls, or None."""
+        """Cumulative cache counters across all select() calls, or None
+        for a solver without a cache."""
         return self.solver.eval_cache_stats
 
     def select(self, window: Sequence[Job], avail: Available) -> List[int]:

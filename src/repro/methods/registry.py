@@ -65,7 +65,6 @@ def make_selector(
     population: int = DEFAULT_POPULATION,
     mutation: float = DEFAULT_MUTATION,
     seed: SeedLike = None,
-    eval_cache: bool = True,
     solver: Optional[str] = None,
     yardstick: Union[bool, object] = False,
 ) -> Selector:
@@ -73,9 +72,7 @@ def make_selector(
 
     GA parameters apply to every GA-backed method (identical optimization
     budget keeps the comparison about the *formulation*, not solver time);
-    the greedy methods (Baseline, Bin_Packing) ignore them, as they do
-    ``eval_cache`` (the GA evaluation memo, byte-identical either way —
-    ``False`` is the reference path the differential tests compare against).
+    the greedy methods (Baseline, Bin_Packing) ignore them.
 
     ``solver`` names a window solver from :mod:`repro.solvers.registry`
     (``"ga"``, ``"scalar"``, ``"milp"``, ``"exhaustive"``); ``None`` keeps
@@ -103,7 +100,6 @@ def make_selector(
         generations=generations,
         population=population,
         mutation=mutation,
-        eval_cache=eval_cache,
     )
     solved = dict(ga, solver=solver_name, yardstick=yd)
     factories: Dict[str, Callable[[], Selector]] = {

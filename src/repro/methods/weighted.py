@@ -48,9 +48,6 @@ class WeightedSelector(Selector):
         Weights for the §5 objectives; ignored on systems without SSD
         tiers.  Defaults make the 4-objective ``Weighted`` method equally
         weighted, as §5 specifies.
-    eval_cache:
-        Memoize GA objective evaluations (byte-identical results, see
-        :mod:`repro.core.evalcache`); ``False`` is the reference path.
     solver:
         A :class:`WindowSolver`, a registry name, or ``None`` for the
         scalar GA built from the knobs above.
@@ -71,7 +68,6 @@ class WeightedSelector(Selector):
         population: int = DEFAULT_POPULATION,
         mutation: float = DEFAULT_MUTATION,
         seed: SeedLike = None,
-        eval_cache: bool = True,
         solver: Union[WindowSolver, str, None] = None,
         yardstick: Optional[OptimalityYardstick] = None,
     ) -> None:
@@ -96,7 +92,6 @@ class WeightedSelector(Selector):
                 generations=generations,
                 population=population,
                 mutation=mutation,
-                eval_cache=eval_cache,
             )
         elif isinstance(solver, str):
             from ..solvers.registry import make_window_solver
@@ -106,7 +101,6 @@ class WeightedSelector(Selector):
                 generations=generations,
                 population=population,
                 mutation=mutation,
-                eval_cache=eval_cache,
             )
         self.solver: WindowSolver = solver
         self.yardstick = yardstick
@@ -114,7 +108,8 @@ class WeightedSelector(Selector):
 
     @property
     def eval_cache_stats(self):
-        """Cumulative cache counters across all select() calls, or None."""
+        """Cumulative cache counters across all select() calls, or None
+        for a solver without a cache."""
         return self.solver.eval_cache_stats
 
     def select(self, window: Sequence[Job], avail: Available) -> List[int]:

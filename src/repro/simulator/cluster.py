@@ -18,7 +18,7 @@ capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -46,25 +46,13 @@ class Available:
         qualifying = sum(n for cap, n in self.ssd_free.items() if cap >= job.ssd)
         return qualifying >= job.nodes
 
-    def fits_mask(self, jobs: Sequence[Job]) -> np.ndarray:
-        """Vectorized :meth:`fits` — one boolean per job.
-
-        Result is element-wise identical to ``[self.fits(j) for j in jobs]``.
-        """
-        if not jobs:
-            return np.zeros(0, dtype=bool)
-        return self.fits_cols(
-            np.array([j.nodes for j in jobs]),
-            np.array([j.bb for j in jobs], dtype=float),
-            np.array([j.ssd for j in jobs], dtype=float),
-        )
-
     def fits_cols(
         self, nodes: np.ndarray, bb: np.ndarray, ssd: np.ndarray
     ) -> np.ndarray:
-        """:meth:`fits_mask` over pre-gathered demand columns.
+        """Vectorized :meth:`fits` over pre-gathered demand columns.
 
-        The fast engine slices these straight out of its
+        Element-wise identical to ``[self.fits(j) for j in jobs]`` for the
+        jobs whose columns are passed.  The engine slices these out of its
         :class:`~repro.simulator.jobtable.JobTable` instead of looping over
         Job objects.  Builds the sorted tier-capacity vector and its
         qualifying-node suffix sums once for the whole batch instead of

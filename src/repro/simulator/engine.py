@@ -48,7 +48,7 @@ from .recorder import UsageRecorder
 _EVENT_COUNTERS = {et: f"engine.events.{et.name.lower()}" for et in EventType}
 
 #: Queue depth below which a time-dependent (uncacheable) ordering uses the
-#: reference tuple sort even on the fast engine — the table path's fixed
+#: policy's tuple sort instead of the job table — the table path's fixed
 #: array setup (~15 µs) only amortizes past this measured crossover
 #: (docs/performance.md has the table).
 _VECTOR_MIN_QUEUE = 48
@@ -159,20 +159,18 @@ class SchedulingEngine:
         Spans are additionally emitted to the process's active tracer
         (:func:`repro.telemetry.get_tracer`) — the zero-overhead NULL
         tracer unless a run is explicitly traced.
-    fast:
-        Enable the array-backed fast path (default).  The fast engine
-        builds a :class:`~repro.simulator.jobtable.JobTable` over the
-        trace, orders the queue with one ``np.lexsort`` instead of a
-        Python tuple sort (only the front a pass reads when every queued
-        job is eligible and backfill is window-scoped; cached for
-        time-independent policies such as FCFS until queue membership
-        changes), keeps the
-        backfiller's planned-release list incrementally instead of
-        rebuilding it every pass, and gates window feasibility from the
-        table's columns.  Every shortcut is *byte-identical* to the
-        reference path — same job outcomes, same fingerprints — which
-        the differential tests assert across all §4 methods.  ``False``
-        runs the reference path (the CLI exposes ``--no-fast-engine``).
+
+    The engine builds a :class:`~repro.simulator.jobtable.JobTable` over
+    the trace, orders the queue with one ``np.lexsort`` instead of a
+    Python tuple sort (only the front a pass reads when every queued job
+    is eligible and backfill is window-scoped; cached for
+    time-independent policies such as FCFS until queue membership
+    changes), keeps the backfiller's planned-release list incrementally
+    instead of rebuilding it every pass, and gates window feasibility
+    from the table's columns.  Every shortcut is *byte-identical* to the
+    plain reference engine kept as a test oracle (``tests/oracles.py``)
+    — same job outcomes, same fingerprints — which the differential
+    tests assert across all §4 methods.
     """
 
     def __init__(
@@ -186,7 +184,6 @@ class SchedulingEngine:
         faults: Optional[FaultInjector] = None,
         retry: Optional[RetryPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
-        fast: bool = True,
     ) -> None:
         if backfill_scope not in ("window", "queue"):
             raise SchedulingError(
@@ -222,7 +219,6 @@ class SchedulingEngine:
             self.retry = retry
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = NULL_TRACER  # rebound from the active tracer in run()
-        self.fast = bool(fast)
         # Cached instrument objects: the hot loop bumps Counter.value
         # directly instead of going through the registry's name lookup on
         # every event.  Refs are shared with self.metrics, so snapshots and
@@ -259,8 +255,8 @@ class SchedulingEngine:
         self._terminal = 0
         #: job id → EventQueue token of its pending JOB_END (for fault kills)
         self._end_tokens: Dict[int, int] = {}
-        # --- fast-path state -------------------------------------------------
-        #: column view of the trace (fast engine only; None on the reference path)
+        # --- array-backed state ----------------------------------------------
+        #: column view of the trace, built by run()
         self._table: Optional[JobTable] = None
         #: bumped whenever queue *membership* changes; keys the order cache
         self._queue_rev = 0
@@ -286,6 +282,8 @@ class SchedulingEngine:
     # The priority-order cache is likewise dropped: it is a pure function
     # of (_queue, _queue_rev) and the first pass after a resume rebuilds
     # it bit-identically, so pickling it only bloats every periodic save.
+    # Snapshots of the retired table-less reference engine carry no
+    # job table; it is built from the jobs' current states on load.
     def __getstate__(self) -> Dict:
         state = self.__dict__.copy()
         state["_tracer"] = None
@@ -294,10 +292,13 @@ class SchedulingEngine:
         return state
 
     def __setstate__(self, state: Dict) -> None:
+        state.pop("fast", None)
         self.__dict__.update(state)
         self._tracer = NULL_TRACER
         if isinstance(self._queue, list):  # snapshots that kept the queue as a list
             self._queue = {job.jid: job for job in self._queue}
+        if self._table is None and self._jobs is not None:
+            self._index_jobs(self._jobs)
 
     # --- run-state introspection (checkpoint manifests, progress displays) --------
     @property
@@ -345,13 +346,7 @@ class SchedulingEngine:
                 )
             self._events.push(Event(job.submit_time, EventType.JOB_SUBMIT, job))
         self._jobs = jobs
-        if self.fast:
-            self._table = JobTable(jobs)
-            # Dep-free trace + stock eligibility filter → the filter is the
-            # identity, so each pass can skip rebuilding the eligible list.
-            self._eligible_passthrough = not any(
-                job.deps for job in jobs
-            ) and type(self.window).eligible is WindowPolicy.eligible
+        self._index_jobs(jobs)
         if self.faults is not None:
             self._recorder.observe_capacity(
                 0.0, self.cluster.nodes_online, self.cluster.bb_online
@@ -375,6 +370,15 @@ class SchedulingEngine:
             raise SchedulingError("continue_run() needs a primed engine; call run()")
         return self._run_loop(checkpointer)
 
+    def _index_jobs(self, jobs: List[Job]) -> None:
+        """Build the job table over ``jobs`` and the eligibility shortcut."""
+        self._table = JobTable(jobs)
+        # Dep-free trace + stock eligibility filter → the filter is the
+        # identity, so each pass can skip rebuilding the eligible list.
+        self._eligible_passthrough = not any(
+            job.deps for job in jobs
+        ) and type(self.window).eligible is WindowPolicy.eligible
+
     def _run_loop(self, checkpointer=None) -> SimulationResult:
         # With faults the event stream regenerates itself indefinitely, so
         # the loop also stops once every job is terminal (completed or
@@ -395,24 +399,16 @@ class SchedulingEngine:
                 assert t is not None
                 self._now = t
                 changed = False
-                if self.fast:
-                    # Batch-pop: pop_at re-checks the heap top each
-                    # iteration, so events pushed *for t* while processing
-                    # the batch are delivered in exactly the reference
-                    # peek/pop order below.
-                    while True:
-                        event = events.pop_at(t)
-                        if event is None:
-                            break
-                        c_events.value += 1
-                        by_type[event.etype].value += 1
-                        changed |= self._process(event)
-                else:
-                    while events and events.peek_time() == t:
-                        event = events.pop()
-                        metrics.inc("engine.events")
-                        metrics.inc(_EVENT_COUNTERS[event.etype])
-                        changed |= self._process(event)
+                # Batch-pop: pop_at re-checks the heap top each iteration,
+                # so events pushed *for t* while processing the batch are
+                # delivered in exactly the order of a peek/pop loop.
+                while True:
+                    event = events.pop_at(t)
+                    if event is None:
+                        break
+                    c_events.value += 1
+                    by_type[event.etype].value += 1
+                    changed |= self._process(event)
                 if changed:
                     self._schedule_pass(t)
                 if checkpointer is not None:
@@ -422,7 +418,7 @@ class SchedulingEngine:
             loop_span.set(makespan=self._now, events=c_events.value)
         self._stats.fallback_calls = getattr(self.selector, "fallback_calls", 0)
         metrics.counter("engine.solver_fallbacks").inc(self._stats.fallback_calls)
-        # GA evaluation-cache counters (None for greedy methods / cache off).
+        # GA evaluation-cache counters (None for greedy methods).
         cache_stats = getattr(self.selector, "eval_cache_stats", None)
         if cache_stats:
             for key, value in cache_stats.items():
@@ -567,7 +563,7 @@ class SchedulingEngine:
         # tier assignment never change while it runs), so it is recorded once
         # here instead of being rebuilt from _running every backfill pass.
         # Insertions/deletions mirror _running exactly, so iteration order —
-        # and therefore the backfill plan — matches the reference rebuild.
+        # and therefore the backfill plan — matches a rebuild from _running.
         self._release_map[job.jid] = PlannedRelease(
             est_end=now + job.walltime,
             bb=job.bb,
@@ -578,8 +574,7 @@ class SchedulingEngine:
     def _sync_state(self, job: Job) -> None:
         """Mirror a lifecycle transition into the job table's state column."""
         table = self._table
-        if table is not None:
-            table.set_state(table.row_of[job.jid], job.state)
+        table.set_state(table.row_of[job.jid], job.state)
 
     # --- fault handling ---------------------------------------------------------
     def _push_fault(self, etype: EventType, incident) -> None:
@@ -694,27 +689,15 @@ class SchedulingEngine:
         self._g_queue_depth.set(depth, now)
 
     def _planned_releases(self) -> List[PlannedRelease]:
-        if self.fast:
-            # Maintained incrementally at _start/_kill/JOB_END in the same
-            # insertion order as _running; identical to the rebuild below.
-            return list(self._release_map.values())
-        releases = []
-        for job in self._running.values():
-            assert job.start_time is not None
-            releases.append(
-                PlannedRelease(
-                    est_end=job.start_time + job.walltime,
-                    bb=job.bb,
-                    nodes_by_tier=self.cluster.nodes_by_tier(job),
-                )
-            )
-        return releases
+        # Maintained incrementally at _start/_kill/JOB_END in the same
+        # insertion order as _running; identical to a rebuild from it.
+        return list(self._release_map.values())
 
     def _ordered_queue(self, now: float, k: Optional[int] = None) -> List[Job]:
         """Priority-ordered queue — at least its first ``k`` jobs when
-        ``k`` is given — via the fast path when enabled.
+        ``k`` is given.
 
-        The fast path scores the rows the job table marks QUEUED (exactly
+        The table path scores the rows the job table marks QUEUED (exactly
         the members of ``_queue``: every mutation site calls
         ``_sync_state``) and sorts only the first ``k``
         (:meth:`PriorityPolicy.order_prefix`).
@@ -724,12 +707,12 @@ class SchedulingEngine:
         bumps at the four mutation sites: submit, requeue, start, abandon)
         — the scores of the jobs already in the queue can never change.
         Time-dependent policies (WFP) are rescored every pass, through the
-        reference tuple sort below ``_VECTOR_MIN_QUEUE`` queued jobs.
+        policy's tuple sort below ``_VECTOR_MIN_QUEUE`` queued jobs.
         """
         queue = self._queue
         table = self._table
         cacheable = self.policy.time_independent
-        if table is None or len(queue) < (2 if cacheable else _VECTOR_MIN_QUEUE):
+        if len(queue) < (2 if cacheable else _VECTOR_MIN_QUEUE):
             return self.policy.order(queue.values(), now, k=k)
         k = len(queue) if k is None else min(k, len(queue))
         if cacheable and self._order_rev == self._queue_rev:
@@ -818,13 +801,10 @@ class SchedulingEngine:
                 avail = self.cluster.available()
                 if reduced:
                     table = self._table
-                    if table is not None:
-                        wrows = table.rows_for(reduced)
-                        feasible = avail.fits_cols(
-                            table.nodes[wrows], table.bb[wrows], table.ssd[wrows]
-                        ).any()
-                    else:
-                        feasible = avail.fits_mask(reduced).any()
+                    wrows = table.rows_for(reduced)
+                    feasible = avail.fits_cols(
+                        table.nodes[wrows], table.bb[wrows], table.ssd[wrows]
+                    ).any()
                 else:
                     feasible = False
                 if feasible:

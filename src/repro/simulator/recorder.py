@@ -11,24 +11,20 @@ current timestamp and the *new* occupancy; the recorder accumulates
 step series is retained so metrics can be re-evaluated over any trimmed
 sub-interval after the run.
 
-Two implementations of the step series exist:
-
-* :class:`StepSeries` — the production series on amortized-growth numpy
-  buffers; ``integral`` is a vectorized ``searchsorted`` + segment dot
-  product (numpy's pairwise/blocked summation, drift-resistant compared
-  to naive left-to-right accumulation).
-* :class:`ReferenceStepSeries` — the list-backed executable spec whose
-  ``integral`` walks segments one by one and sums with ``math.fsum``
-  (exactly-rounded).  ``tests/test_recorder.py`` pins the production
-  series to it on random step functions, including the equal-timestamp
-  overwrite semantics.
+:class:`StepSeries` keeps the series on amortized-growth numpy buffers;
+``integral`` is a vectorized ``searchsorted`` + segment dot product
+(numpy's pairwise/blocked summation, drift-resistant compared to naive
+left-to-right accumulation).  ``tests/test_recorder.py`` pins it on
+random step functions, including the equal-timestamp overwrite
+semantics, to a list-backed executable spec whose ``integral`` walks
+segments one by one and sums with ``math.fsum`` (exactly-rounded); that
+spec lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -129,76 +125,6 @@ class StepSeries:
         self._times = np.array(times, dtype=np.float64)
         self._values = np.array(values, dtype=np.float64)
         self._n = len(self._times)
-
-
-class ReferenceStepSeries:
-    """List-backed reference twin of :class:`StepSeries`.
-
-    The executable spec: same API, plain Python lists, and an ``integral``
-    that walks segments in order and reduces with ``math.fsum`` — the
-    drift-free accumulation the vectorized dot product is measured
-    against.  Used by the differential tests; not on any hot path.
-    """
-
-    def __init__(self, initial: float = 0.0, start_time: float = 0.0) -> None:
-        self._times: List[float] = [start_time]
-        self._values: List[float] = [float(initial)]
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def observe(self, time: float, value: float) -> None:
-        """Record the level changing to ``value`` at ``time``."""
-        last = self._times[-1]
-        if time < last:
-            raise ConfigurationError(
-                f"observations must be time-ordered: {time} < {last}"
-            )
-        if time == last:
-            self._values[-1] = float(value)
-        else:
-            self._times.append(float(time))
-            self._values.append(float(value))
-
-    @property
-    def last_time(self) -> float:
-        return self._times[-1]
-
-    @property
-    def last_value(self) -> float:
-        return self._values[-1]
-
-    def integral(self, t0: float, t1: float) -> float:
-        """∫ level dt over ``[t0, t1]``, accumulated with ``math.fsum``."""
-        if t1 < t0:
-            raise ConfigurationError(f"empty interval [{t0}, {t1}]")
-        times = self._times
-        values = self._values
-        i = max(bisect_right(times, t0) - 1, 0)
-        terms: List[float] = []
-        t = t0
-        while i < len(times):
-            seg_end = times[i + 1] if i + 1 < len(times) else t1
-            seg_end = min(seg_end, t1)
-            if seg_end > t:
-                terms.append(values[i] * (seg_end - t))
-                t = seg_end
-            if t >= t1:
-                break
-            i += 1
-        if t < t1:  # level persists past the last change point
-            terms.append(values[-1] * (t1 - t))
-        return math.fsum(terms)
-
-    def mean(self, t0: float, t1: float) -> float:
-        """Time-average level over ``[t0, t1]`` (0 for a zero-length span)."""
-        if t1 <= t0:
-            return 0.0
-        return self.integral(t0, t1) / (t1 - t0)
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(times, values) numpy copies of the recorded steps."""
-        return np.asarray(self._times), np.asarray(self._values)
 
 
 class UsageRecorder:

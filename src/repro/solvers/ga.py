@@ -24,7 +24,7 @@ GA and the exact solvers.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class GAWindowSolver(WindowSolver):
     selection:
         MOO survival scheme — ``"age"`` (paper) or ``"crowding"`` (ablation).
         Scalar solves always use fitness-elitist survival.
-    eval_cache:
-        Memoize GA objective evaluations (byte-identical results, see
-        :mod:`repro.core.evalcache`); ``False`` is the reference path.
     """
 
     name = "ga"
@@ -69,13 +66,11 @@ class GAWindowSolver(WindowSolver):
         population: int = DEFAULT_POPULATION,
         mutation: float = DEFAULT_MUTATION,
         selection: str = "age",
-        eval_cache: bool = True,
     ) -> None:
         self.generations = generations
         self.population = population
         self.mutation = mutation
         self.selection = selection
-        self.eval_cache = eval_cache
         # One long-lived MOO solver: its eval cache persists across passes,
         # which is where the memoization speedup comes from.
         self.moga = MOGASolver(
@@ -84,7 +79,6 @@ class GAWindowSolver(WindowSolver):
             mutation=mutation,
             selection=selection,
             seed=None,
-            eval_cache=eval_cache,
         )
         # Scalar solves use throwaway solvers; their counters accumulate here.
         self._scalar_stats = dict(_ZERO_STATS)
@@ -101,21 +95,17 @@ class GAWindowSolver(WindowSolver):
             generations=self.generations,
             population=self.population,
             mutation=self.mutation,
-            eval_cache=self.eval_cache,
         )
         best = solver.best(problem, seed=seed)
         stats = solver.eval_cache_stats
-        if stats:
-            for key in self._scalar_stats:
-                self._scalar_stats[key] += stats[key]
+        for key in self._scalar_stats:
+            self._scalar_stats[key] += stats[key]
         return best
 
     @property
-    def eval_cache_stats(self) -> Optional[dict]:
-        """Combined MOO + scalar cache counters, or ``None`` when disabled."""
-        if not self.eval_cache:
-            return None
-        moga = self.moga.eval_cache_stats or _ZERO_STATS
+    def eval_cache_stats(self) -> dict:
+        """Combined MOO + scalar cache counters."""
+        moga = self.moga.eval_cache_stats
         return {key: moga[key] + self._scalar_stats[key] for key in _ZERO_STATS}
 
 

@@ -53,11 +53,10 @@ def make_window_solver(
     population: int = DEFAULT_POPULATION,
     mutation: float = DEFAULT_MUTATION,
     selection: str = "age",
-    eval_cache: bool = True,
 ) -> WindowSolver:
     """Construct a registered solver from the run's knobs.
 
-    GA knobs (``generations`` … ``eval_cache``) configure GA-backed
+    GA knobs (``generations`` … ``selection``) configure GA-backed
     solvers and are ignored by exact ones.  Unknown names raise
     :class:`ConfigurationError` listing the registered choices.
     """
@@ -72,7 +71,6 @@ def make_window_solver(
         population=population,
         mutation=mutation,
         selection=selection,
-        eval_cache=eval_cache,
     )
 
 
@@ -81,14 +79,12 @@ def _ga_factory(
     population: int = DEFAULT_POPULATION,
     mutation: float = DEFAULT_MUTATION,
     selection: str = "age",
-    eval_cache: bool = True,
 ) -> WindowSolver:
     return GAWindowSolver(
         generations=generations,
         population=population,
         mutation=mutation,
         selection=selection,
-        eval_cache=eval_cache,
     )
 
 
@@ -97,14 +93,12 @@ def _scalar_factory(
     population: int = DEFAULT_POPULATION,
     mutation: float = DEFAULT_MUTATION,
     selection: str = "age",
-    eval_cache: bool = True,
 ) -> WindowSolver:
     return ScalarGAWindowSolver(
         generations=generations,
         population=population,
         mutation=mutation,
         selection=selection,
-        eval_cache=eval_cache,
     )
 
 

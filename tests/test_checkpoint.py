@@ -101,6 +101,32 @@ class TestSnapshotFormat:
         full = run_one(trace, "Baseline", SMOKE, seed=11)
         assert fingerprint_digest(resumed) == fingerprint_digest(full)
 
+    def test_reference_path_snapshot_resumes(self, tmp_path):
+        """Snapshots taken on the retired reference paths (an engine with
+        ``fast=False`` and no job table, a GA with ``eval_cache=False``)
+        resume to the uninterrupted result."""
+        path = tmp_path / "mid.ckpt"
+        trace = get_workload("Theta-S4", SMOKE)
+        config = CheckpointConfig(path=str(path), every_hours=0.0,
+                                  stop_after=20_000.0)
+        with pytest.raises(SimulationInterrupted):
+            run_one(trace, "BBSched", SMOKE, seed=11, checkpoint=config)
+        engine, header = load_checkpoint(path)
+        assert engine._table is not None
+        engine.fast = False
+        engine._table = None
+        engine._eligible_passthrough = False
+        solver = engine.selector.solver
+        solver.eval_cache = solver.moga.eval_cache = False
+        save_checkpoint(path, engine, meta=header["manifest"]["meta"])
+        engine, _ = load_checkpoint(path)
+        assert not hasattr(engine, "fast") and engine._table is not None
+        assert not hasattr(engine.selector.solver.moga, "eval_cache")
+        resumed = run_one(trace, "BBSched", SMOKE, seed=11,
+                          resume_from=str(path))
+        full = run_one(trace, "BBSched", SMOKE, seed=11)
+        assert fingerprint_digest(resumed) == fingerprint_digest(full)
+
     def test_truncated_payload_detected(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         data = path.read_bytes()

@@ -1,10 +1,12 @@
 """Cluster resource model: allocation invariants across three resources."""
 
+import numpy as np
 import pytest
 
 from repro.errors import AllocationError, ConfigurationError
 from repro.simulator.cluster import Available, Cluster
 from repro.simulator.job import Job
+from repro.simulator.jobtable import JobTable
 
 
 def make_job(jid=1, nodes=4, bb=0.0, ssd=0.0):
@@ -140,14 +142,13 @@ class TestAvailable:
 
     def test_fits_mask_empty(self):
         avail = Available(nodes=5, bb=10.0, ssd_free={0.0: 5})
-        assert avail.fits_mask([]).shape == (0,)
+        empty = np.zeros(0)
+        assert avail.fits_cols(empty.astype(int), empty, empty).shape == (0,)
 
     def test_fits_mask_matches_fits(self):
-        """The batched mask must agree with per-job fits() on every job,
-        including SSD requests landing exactly on, between, and above the
-        tier capacities."""
-        import numpy as np
-
+        """The batched mask over gathered demand columns must agree with
+        per-job fits() on every job, including SSD requests landing exactly
+        on, between, and above the tier capacities."""
         rng = np.random.default_rng(3)
         snapshots = [
             Available(nodes=5, bb=10.0, ssd_free={0.0: 5}),
@@ -163,7 +164,9 @@ class TestAvailable:
                 for j in range(40)
             ]
             expected = [avail.fits(job) for job in jobs]
-            assert avail.fits_mask(jobs).tolist() == expected
+            table = JobTable(jobs)
+            mask = avail.fits_cols(table.nodes, table.bb, table.ssd)
+            assert mask.tolist() == expected
 
     def test_bb_utilization_zero_capacity(self):
         c = Cluster(nodes=10, bb_capacity=0.0)

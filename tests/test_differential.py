@@ -1,21 +1,22 @@
 """Differential tests: the fast paths change nothing but speed.
 
-Two pure performance features are pinned here against their reference
-paths, which must be *byte-identical* at every level:
+Two pure performance features are pinned here against the test-only
+oracles in ``tests/oracles.py``, which must match them *byte for byte*
+at every level:
 
 * the GA's cached, bit-packed generation loop (:mod:`repro.core.evalcache`,
-  vs the numpy ``eval_cache=False`` loop) — solver outputs (ParetoSet
-  genes and objectives) across window widths past 64 genes, forced
-  genes, mutation rates, fractional demands and every survivor rule,
-  its cache counters, full-run fingerprints for every §4 method under
-  both site policies, and runs that pass through a checkpoint/resume
-  cycle;
-* the array-backed engine fast path (vectorized queue ordering, the
-  FCFS order cache, incremental planned releases, batch event pops; vs
-  ``fast_engine=False`` / CLI ``--no-fast-engine``) — full-run
-  fingerprints for every §4 method, the ordering permutation itself
-  under score ties, the exact front a pass orders, and whole runs on
-  backlogs many times the window deep.
+  vs the numpy reference loop, :func:`~tests.oracles.reference_solve`) —
+  solver outputs (ParetoSet genes and objectives) across window widths
+  past 64 genes, forced genes, mutation rates, fractional demands and
+  every survivor rule, its cache counters, full-run fingerprints for
+  every §4 method under both site policies, and runs that pass through a
+  checkpoint/resume cycle;
+* the array-backed engine (vectorized queue ordering, the FCFS order
+  cache, incremental planned releases, batch event pops; vs
+  :class:`~tests.oracles.ReferenceEngine`) — full-run fingerprints for
+  every §4 method, the ordering permutation itself under score ties, the
+  exact front a pass orders, and whole runs on backlogs many times the
+  window deep.
 
 Any divergence — an RNG draw consumed differently, a float assembled
 from a different batch shape, a sort tie broken differently — shows up
@@ -48,6 +49,7 @@ from repro.simulator.job import Job
 from repro.simulator.jobtable import JobTable
 from repro.telemetry import Tracer, use_tracer
 from repro.windows import DynamicWindowPolicy, WindowPolicy
+from tests.oracles import ReferenceEngine, reference_paths, reference_solve
 
 #: Deliberately tiny: 16 method×workload fingerprint pairs run per test
 #: session, each pair simulating the trace twice.  The name must stay a
@@ -122,8 +124,16 @@ def assert_pareto_identical(a, b):
     assert a.objectives.tobytes() == b.objectives.tobytes()
 
 
+def assert_matches_reference(make, problem):
+    """A solver from ``make()`` gives the reference loop's front, byte for
+    byte, when each side gets a fresh solver."""
+    on = make().solve(problem)
+    assert_pareto_identical(on, reference_solve(make(), problem))
+    return on
+
+
 class TestSolverDifferential:
-    """Cache on/off byte-identity at the solver level."""
+    """Cached loop vs reference loop byte-identity at the solver level."""
 
     @pytest.mark.parametrize("selection", ["age", "crowding"])
     @pytest.mark.parametrize("trial", range(6))
@@ -132,9 +142,7 @@ class TestSolverDifferential:
         problem = random_selection_problem(rng)
         seed = int(rng.integers(0, 2**31))
         kw = dict(generations=25, population=10, selection=selection)
-        on = MOGASolver(eval_cache=True, seed=seed, **kw).solve(problem)
-        off = MOGASolver(eval_cache=False, seed=seed, **kw).solve(problem)
-        assert_pareto_identical(on, off)
+        assert_matches_reference(lambda: MOGASolver(seed=seed, **kw), problem)
 
     @pytest.mark.parametrize("trial", range(6))
     def test_moga_ssd_problem(self, trial):
@@ -142,9 +150,7 @@ class TestSolverDifferential:
         problem = random_ssd_problem(rng)
         seed = int(rng.integers(0, 2**31))
         kw = dict(generations=25, population=10)
-        on = MOGASolver(eval_cache=True, seed=seed, **kw).solve(problem)
-        off = MOGASolver(eval_cache=False, seed=seed, **kw).solve(problem)
-        assert_pareto_identical(on, off)
+        assert_matches_reference(lambda: MOGASolver(seed=seed, **kw), problem)
 
     @pytest.mark.parametrize("trial", range(4))
     def test_scalar_solver(self, trial):
@@ -153,9 +159,8 @@ class TestSolverDifferential:
         seed = int(rng.integers(0, 2**31))
         coeffs = [1.0, 0.5]
         kw = dict(generations=25, population=10)
-        on = ScalarGASolver(coeffs, eval_cache=True, seed=seed, **kw)
-        off = ScalarGASolver(coeffs, eval_cache=False, seed=seed, **kw)
-        assert_pareto_identical(on.solve(problem), off.solve(problem))
+        assert_matches_reference(lambda: ScalarGASolver(coeffs, seed=seed, **kw),
+                                 problem)
 
     @pytest.mark.parametrize("w", [1, 2, 20, 70])
     @pytest.mark.parametrize("mutation", [0.0, 0.05])
@@ -164,9 +169,7 @@ class TestSolverDifferential:
         rng = np.random.default_rng(5000 + w)
         problem = wide_selection_problem(rng, w)
         kw = dict(generations=20, population=10, mutation=mutation, seed=w)
-        on = MOGASolver(eval_cache=True, **kw).solve(problem)
-        off = MOGASolver(eval_cache=False, **kw).solve(problem)
-        assert_pareto_identical(on, off)
+        assert_matches_reference(lambda: MOGASolver(**kw), problem)
 
     @pytest.mark.parametrize("selection", ["age", "crowding"])
     @pytest.mark.parametrize("trial", range(3))
@@ -175,9 +178,7 @@ class TestSolverDifferential:
         problem = wide_selection_problem(rng, 24, forced=(1, 7, 20))
         kw = dict(generations=25, population=10, mutation=0.05,
                   selection=selection, seed=trial)
-        on = MOGASolver(eval_cache=True, **kw).solve(problem)
-        off = MOGASolver(eval_cache=False, **kw).solve(problem)
-        assert_pareto_identical(on, off)
+        on = assert_matches_reference(lambda: MOGASolver(**kw), problem)
         assert on.genes[:, [1, 7, 20]].all()
 
     @pytest.mark.parametrize("selection", ["age", "crowding"])
@@ -189,36 +190,29 @@ class TestSolverDifferential:
         problem = SelectionProblem(demands, [60.0, 60.0])
         kw = dict(generations=20, population=4, mutation=0.05,
                   selection=selection, seed=3)
-        on = MOGASolver(eval_cache=True, **kw).solve(problem)
-        off = MOGASolver(eval_cache=False, **kw).solve(problem)
-        assert_pareto_identical(on, off)
+        assert_matches_reference(lambda: MOGASolver(**kw), problem)
 
     @pytest.mark.parametrize("trial", range(4))
     def test_moga_ssd_forced_genes(self, trial):
         rng = np.random.default_rng(7000 + trial)
         problem = random_ssd_problem(rng, forced=(0, 2))
         kw = dict(generations=25, population=10, mutation=0.05, seed=trial)
-        on = MOGASolver(eval_cache=True, **kw).solve(problem)
-        off = MOGASolver(eval_cache=False, **kw).solve(problem)
-        assert_pareto_identical(on, off)
+        assert_matches_reference(lambda: MOGASolver(**kw), problem)
 
     @pytest.mark.parametrize("trial", range(4))
     def test_moga_fractional_demands(self, trial):
         rng = np.random.default_rng(8000 + trial)
         problem = wide_selection_problem(rng, 20, fractional=True)
         kw = dict(generations=25, population=10, mutation=0.05, seed=trial)
-        on = MOGASolver(eval_cache=True, **kw).solve(problem)
-        off = MOGASolver(eval_cache=False, **kw).solve(problem)
-        assert_pareto_identical(on, off)
+        assert_matches_reference(lambda: MOGASolver(**kw), problem)
 
     @pytest.mark.parametrize("trial", range(3))
     def test_scalar_solver_forced_genes(self, trial):
         rng = np.random.default_rng(9000 + trial)
         problem = wide_selection_problem(rng, 20, forced=(0, 5))
         kw = dict(generations=25, population=10, mutation=0.05, seed=trial)
-        on = ScalarGASolver([0.3, 1.0], eval_cache=True, **kw)
-        off = ScalarGASolver([0.3, 1.0], eval_cache=False, **kw)
-        assert_pareto_identical(on.solve(problem), off.solve(problem))
+        assert_matches_reference(lambda: ScalarGASolver([0.3, 1.0], **kw),
+                                 problem)
 
     @pytest.mark.parametrize("trial", range(3))
     def test_scalar_solver_ssd_problem(self, trial):
@@ -227,9 +221,8 @@ class TestSolverDifferential:
         problem = random_ssd_problem(rng, forced=(1,))
         coeffs = [1.0, 0.01, 0.002, 0.5]
         kw = dict(generations=25, population=10, mutation=0.05, seed=trial)
-        on = ScalarGASolver(coeffs, eval_cache=True, **kw)
-        off = ScalarGASolver(coeffs, eval_cache=False, **kw)
-        assert_pareto_identical(on.solve(problem), off.solve(problem))
+        assert_matches_reference(lambda: ScalarGASolver(coeffs, **kw),
+                                 problem)
 
     @pytest.mark.parametrize("make", [
         lambda kw: MOGASolver(**kw),
@@ -244,24 +237,21 @@ class TestSolverDifferential:
         follows it."""
         rng = np.random.default_rng(12)
         problems = [random_selection_problem(rng) for _ in range(4)]
-        streams = {flag: np.random.default_rng(99) for flag in (True, False)}
+        kw = dict(generations=generations, population=7, mutation=0.05)
+        stream, ref_stream = np.random.default_rng(99), np.random.default_rng(99)
         for problem in problems:
-            out = {}
-            for flag, stream in streams.items():
-                solver = make(dict(generations=generations, population=7,
-                                   mutation=0.05, eval_cache=flag))
-                out[flag] = solver.solve(problem, seed=stream)
-            assert_pareto_identical(out[True], out[False])
-            assert (streams[True].bit_generator.state
-                    == streams[False].bit_generator.state)
+            on = make(kw).solve(problem, seed=stream)
+            off = reference_solve(make(kw), problem, seed=ref_stream)
+            assert_pareto_identical(on, off)
+            assert stream.bit_generator.state == ref_stream.bit_generator.state
 
     def test_scalar_solver_rejects_wrong_objective_count(self):
         problem = wide_selection_problem(np.random.default_rng(1), 6)
-        for eval_cache in (True, False):
-            solver = ScalarGASolver([1.0], generations=2, population=4,
-                                    seed=0, eval_cache=eval_cache)
-            with pytest.raises(SolverError):
-                solver.solve(problem)
+        solver = ScalarGASolver([1.0], generations=2, population=4, seed=0)
+        with pytest.raises(SolverError):
+            solver.solve(problem)
+        with pytest.raises(SolverError):
+            reference_solve(solver, problem)
 
     def test_fine_tracing_changes_nothing(self):
         rng = np.random.default_rng(10)
@@ -269,19 +259,16 @@ class TestSolverDifferential:
         kw = dict(generations=15, population=10, mutation=0.05, seed=4)
         tracer = Tracer(fine=True)
         with use_tracer(tracer):
-            on = MOGASolver(eval_cache=True, **kw).solve(problem)
-        off = MOGASolver(eval_cache=False, **kw).solve(problem)
-        assert_pareto_identical(on, off)
+            on = MOGASolver(**kw).solve(problem)
+        assert_pareto_identical(on, reference_solve(MOGASolver(**kw), problem))
         assert sum(s.name == "ga_generation" for s in tracer.spans) == 15
 
     def test_cache_actually_engages(self):
-        """The on-path must really memoize, or these tests prove nothing."""
+        """The cached loop must really memoize, or these tests prove nothing."""
         problem = random_selection_problem(np.random.default_rng(7))
-        solver = MOGASolver(generations=30, population=10, seed=42,
-                            eval_cache=True)
+        solver = MOGASolver(generations=30, population=10, seed=42)
         solver.solve(problem)
-        stats = solver.eval_cache_stats
-        assert stats is not None and stats["hits"] > 0
+        assert solver.eval_cache_stats["hits"] > 0
 
     def test_tiny_capacity_still_identical(self, monkeypatch):
         """Evictions cost re-evaluation, never correctness."""
@@ -295,9 +282,9 @@ class TestSolverDifferential:
         problem = SelectionProblem(demands, [60.0, 90.0])
         kw = dict(generations=30, population=10, mutation=0.05, seed=42)
         monkeypatch.setattr(evalcache, "DEFAULT_EVAL_CACHE_CAPACITY", 4)
-        small = MOGASolver(eval_cache=True, **kw)
-        off = MOGASolver(eval_cache=False, **kw)
-        assert_pareto_identical(small.solve(problem), off.solve(problem))
+        small = MOGASolver(**kw)
+        off = reference_solve(MOGASolver(**kw), problem)
+        assert_pareto_identical(small.solve(problem), off)
         assert small.eval_cache_stats["evictions"] > 0
 
 
@@ -373,51 +360,72 @@ class TestFusedGeneration:
         make, build = self.CASES[case]
         rng = np.random.default_rng(sorted(self.CASES).index(case))
         kw = dict(generations=20, population=10, mutation=0.05)
-        streams = {flag: np.random.default_rng(77) for flag in (True, False)}
+        stream, ref_stream = np.random.default_rng(77), np.random.default_rng(77)
         for _ in range(4):
             problem = build(rng)
-            out = {flag: make(dict(kw, eval_cache=flag)).solve(problem, seed=stream)
-                   for flag, stream in streams.items()}
-            assert_pareto_identical(out[True], out[False])
-            assert (streams[True].bit_generator.state
-                    == streams[False].bit_generator.state)
+            on = make(kw).solve(problem, seed=stream)
+            off = reference_solve(make(kw), problem, seed=ref_stream)
+            assert_pareto_identical(on, off)
+            assert stream.bit_generator.state == ref_stream.bit_generator.state
             if case == "collapse":
-                assert out[True].genes.tolist() == [[0] * 10]
+                assert on.genes.tolist() == [[0] * 10]
+
+
+def _digests(workload, method, **oracles):
+    """Fingerprint digests of one TINY run in production and on oracles."""
+    on = run_one(get_workload(workload, TINY), method, TINY)
+    with reference_paths(**oracles):
+        off = run_one(get_workload(workload, TINY), method, TINY)
+    return fingerprint_digest(on), fingerprint_digest(off)
 
 
 class TestRunDifferential:
-    """Cache on/off fingerprint identity for every §4 method."""
+    """Cached vs reference GA loop fingerprint identity, every §4 method."""
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("method", METHODS_SECTION4)
     def test_fingerprints_identical(self, method, workload):
-        on = run_one(get_workload(workload, TINY), method, TINY,
-                     eval_cache=True)
-        off = run_one(get_workload(workload, TINY), method, TINY,
-                      eval_cache=False)
-        assert fingerprint_digest(on) == fingerprint_digest(off)
+        on, off = _digests(workload, method, engine=False)
+        assert on == off
 
 
 class TestFastEngineDifferential:
-    """Fast-engine vs reference-engine fingerprint identity, every §4 method."""
+    """Engine vs reference-engine fingerprint identity, every §4 method."""
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("method", METHODS_SECTION4)
     def test_fingerprints_identical(self, method, workload):
-        fast = run_one(get_workload(workload, TINY), method, TINY,
-                       fast_engine=True)
-        ref = run_one(get_workload(workload, TINY), method, TINY,
-                      fast_engine=False)
-        assert fingerprint_digest(fast) == fingerprint_digest(ref)
+        fast, ref = _digests(workload, method, ga=False)
+        assert fast == ref
 
     def test_both_fast_paths_off_matches_both_on(self):
-        """The two reference knobs compose: everything off still matches."""
-        workload, method = "Theta-S2", "BBSched"
-        on = run_one(get_workload(workload, TINY), method, TINY,
-                     eval_cache=True, fast_engine=True)
-        off = run_one(get_workload(workload, TINY), method, TINY,
-                      eval_cache=False, fast_engine=False)
-        assert fingerprint_digest(on) == fingerprint_digest(off)
+        """The two oracles compose: both at once still match."""
+        on, off = _digests("Theta-S2", "BBSched")
+        assert on == off
+
+
+class TestOracleWiring:
+    """``reference_paths`` really routes a run through the oracles, or the
+    run-level differentials above compare production with itself."""
+
+    @staticmethod
+    def _counters(**oracles):
+        trace = get_workload("Cori-S1", TINY)  # FCFS: every pass table-ordered
+        with reference_paths(**oracles):
+            result = run_one(trace, "BBSched", TINY, collect_telemetry=True)
+        return {name: c.value for name, c in result.telemetry.metrics.counters.items()}
+
+    def test_production_uses_cache_and_table_order(self):
+        counters = self._counters(ga=False, engine=False)
+        assert counters["ga.eval_cache.misses"] > 0
+        assert counters["engine.order.vectorized"] > 0
+
+    def test_oracles_bypass_cache_and_table_order(self):
+        counters = self._counters()
+        assert counters.get("ga.eval_cache.misses", 0) == 0
+        assert counters.get("engine.order.vectorized", 0) == 0
+        assert counters.get("engine.order.cache_hits", 0) == 0
+        assert counters["engine.jobs_started"] > 0
 
 
 class _ModuloPolicy(PriorityPolicy):
@@ -544,7 +552,7 @@ class TestOrderPrefix:
 
 class _SawtoothWindow(WindowPolicy):
     """Window size that *grows* as the queue shrinks past odd lengths —
-    the front the fast engine orders must then be re-read for backfill."""
+    the front the engine orders must then be re-read for backfill."""
 
     def scope_size(self, eligible_count):
         return 3 if eligible_count % 2 == 0 else 12
@@ -572,13 +580,13 @@ def _deep_backlog(seed, n=520, deps=False):
     return jobs
 
 
-def _simulate(jobs, fast, policy, window, scope="window", faults=None,
+def _simulate(jobs, engine_cls, policy, window, scope="window", faults=None,
               retry=None, method="Baseline"):
-    engine = SchedulingEngine(
+    engine = engine_cls(
         Cluster(nodes=64, bb_capacity=200.0), policy, make_selector(method),
         window, backfill=EasyBackfill(), backfill_scope=scope,
         faults=FaultInjector(faults) if faults is not None else None,
-        retry=retry, fast=fast,
+        retry=retry,
     )
     return engine, engine.run(jobs)
 
@@ -593,9 +601,9 @@ def _outcome(result):
 
 
 class TestDeepQueueDifferential:
-    """Fast vs reference engine on backlogs far deeper than the window.
+    """Engine vs reference engine on backlogs far deeper than the window.
 
-    The fast engine orders only the queue front a pass reads, so these
+    The engine orders only the queue front a pass reads, so these
     runs keep the queue at hundreds of jobs: a window or backfill scope
     sized from the front's length instead of the eligible count diverges
     here (the §4 fingerprints above never queue that deep).
@@ -629,9 +637,9 @@ class TestDeepQueueDifferential:
         policy, window = spec.pop("policy"), spec.pop("window")
         seed = sorted(self.CASES).index(case)
         runs = [
-            _simulate(_deep_backlog(seed, deps=deps), fast, policy(), window(),
-                      **spec)
-            for fast in (True, False)
+            _simulate(_deep_backlog(seed, deps=deps), engine_cls, policy(),
+                      window(), **spec)
+            for engine_cls in (SchedulingEngine, ReferenceEngine)
         ]
         (engine, fast), (_, ref) = runs
         assert engine.metrics.gauge("engine.queue_depth").max > 300
@@ -653,12 +661,12 @@ class TestResumeDifferential:
     def test_resume_with_cache_matches_no_cache_reference(self, tmp_path):
         workload, method = "Theta-S2", "BBSched"
         # verify_resume asserts uninterrupted == interrupted+resumed, all
-        # three runs with the cache on.
+        # three runs on the cached loop.
         report = verify_resume(
             get_workload(workload, TINY), method, TINY,
-            eval_cache=True, stop_fraction=0.5, workdir=str(tmp_path),
+            stop_fraction=0.5, workdir=str(tmp_path),
         )
-        # The shared digest must also equal the cache-off reference.
-        off = run_one(get_workload(workload, TINY), method, TINY,
-                      eval_cache=False)
+        # The shared digest must also equal the reference loop's.
+        with reference_paths(engine=False):
+            off = run_one(get_workload(workload, TINY), method, TINY)
         assert report.digest == fingerprint_digest(off)

@@ -178,19 +178,24 @@ class TestPackedChromosomes:
 
 
 class TestEvalCache:
-    def test_stats_none_when_disabled(self):
-        s = MOGASolver(generations=10, population=8, eval_cache=False, seed=0)
-        s.solve(table1_problem())
-        assert s.eval_cache_stats is None
+    def test_stats_none_without_a_cache(self):
+        """Selectors whose solver has no memo report no counters; the
+        engine then emits no ``ga.eval_cache.*`` metrics."""
+        from repro.methods import make_selector
+
+        assert make_selector("BBSched", solver="milp").eval_cache_stats is None
+        assert make_selector("BBSched").eval_cache_stats == {
+            "hits": 0, "misses": 0, "deduped": 0, "evictions": 0,
+        }
 
     def test_stats_zero_before_first_solve(self):
-        s = MOGASolver(eval_cache=True)
+        s = MOGASolver()
         assert s.eval_cache_stats == {
             "hits": 0, "misses": 0, "deduped": 0, "evictions": 0,
         }
 
     def test_stats_accumulate_across_solves(self):
-        s = MOGASolver(generations=15, population=8, eval_cache=True, seed=0)
+        s = MOGASolver(generations=15, population=8, seed=0)
         s.solve(table1_problem())
         first = s.eval_cache_stats
         assert first["hits"] > 0 and first["misses"] > 0
@@ -201,7 +206,7 @@ class TestEvalCache:
     def test_store_cleared_between_solves(self):
         """Chromosome bytes are meaningless across problems — a stale
         entry would serve wrong objectives, so each solve starts empty."""
-        s = MOGASolver(generations=10, population=8, eval_cache=True, seed=0)
+        s = MOGASolver(generations=10, population=8, seed=0)
         s.solve(table1_problem())
         jobs = [make_job(1, 3, 50.0), make_job(2, 4, 10.0)]
         other = SelectionProblem.from_window(jobs, 10, 60.0)
@@ -216,7 +221,7 @@ class TestEvalCache:
         import pickle
 
         problem = table1_problem()
-        a = MOGASolver(generations=20, population=8, eval_cache=True, seed=9)
+        a = MOGASolver(generations=20, population=8, seed=9)
         b = pickle.loads(pickle.dumps(a))
         assert b._cache is None
         ra, rb = a.solve(problem), b.solve(problem)
@@ -239,6 +244,19 @@ class TestEvalCache:
         b = MOGASolver.__new__(MOGASolver)
         b.__setstate__(state)
         assert not hasattr(b, "fast_repair")
+        assert a.solve(problem).genes.tobytes() == b.solve(problem).genes.tobytes()
+
+    def test_snapshot_with_retired_eval_cache_key_loads(self):
+        """Snapshots from before the ``eval_cache`` knob was removed carry
+        that attribute, ``False`` when taken on the reference loop;
+        loading drops it and the solver runs its one loop."""
+        problem = table1_problem()
+        a = MOGASolver(generations=20, population=8, seed=9)
+        state = a.__getstate__()
+        state["eval_cache"] = False
+        b = MOGASolver.__new__(MOGASolver)
+        b.__setstate__(state)
+        assert not hasattr(b, "eval_cache")
         assert a.solve(problem).genes.tobytes() == b.solve(problem).genes.tobytes()
 
     def test_snapshot_with_retired_cache_capacity_key_loads(self):

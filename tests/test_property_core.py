@@ -12,6 +12,7 @@ from repro.core.gd import generational_distance, hypervolume_2d
 from repro.core.pareto import _pairwise_mask, non_dominated_mask, pareto_front_2d
 from repro.core.problem import SelectionProblem
 from repro.errors import SolverError
+from tests.oracles import reference_solve
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -264,12 +265,12 @@ class TestSolverProperties:
            st.sampled_from(["age", "crowding"]))
     @settings(**COMMON, max_examples=15)
     def test_eval_cache_never_changes_solve(self, problem, seed, selection):
-        """Memoized evaluation is byte-identical to the reference path,
+        """Memoized evaluation is byte-identical to the reference loop,
         across random problems, window widths, seeds, and both survival
         schemes (the broad-stroke twin of tests/test_differential.py)."""
         kw = dict(generations=20, population=8, selection=selection, seed=seed)
-        on = MOGASolver(eval_cache=True, **kw).solve(problem)
-        off = MOGASolver(eval_cache=False, **kw).solve(problem)
+        on = MOGASolver(**kw).solve(problem)
+        off = reference_solve(MOGASolver(**kw), problem)
         assert on.genes.tobytes() == off.genes.tobytes()
         assert on.objectives.tobytes() == off.objectives.tobytes()
 

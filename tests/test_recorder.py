@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.simulator.recorder import ReferenceStepSeries, StepSeries, UsageRecorder
+from repro.simulator.recorder import StepSeries, UsageRecorder
+from tests.oracles import ReferenceStepSeries
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
