@@ -9,10 +9,18 @@ failed) cells are re-dispatched.
 Record kinds::
 
     {"kind": "cell", "workload": ..., "method": ..., "scale": ...,
-     "telemetry": bool, "seed": int|null,
+     "telemetry": bool, "seed": int|null, "spec": {...},
      "payload_sha256": "...", "payload": "<base64 pickle of RunResult>"}
     {"kind": "failure", "workload": ..., "method": ..., "scale": ...,
      "error": "...", "attempts": int, "traceback": "..."}
+
+A cell is keyed by its :class:`~repro.experiments.spec.RunSpec` digest,
+so a resume never returns a cell computed under another seed, fault
+scenario or solver.  ``spec`` (the spec's resolved fields) is optional
+and adds no format version: a record without it, as every record
+written before specs existed, is the default run its version-1 fields
+name — the named scale's knobs, the stored seed (``cell_seed`` when
+null) and the stored telemetry flag.
 
 Durability mechanics (atomic single-write appends, tail-tolerant replay,
 verified payloads) live in the shared :class:`~repro.checkpoint.journal.
@@ -41,6 +49,8 @@ class LedgerView:
 
     #: (workload, method) → unpickled RunResult for every matching cell.
     results: Dict[Tuple[str, str], Any] = field(default_factory=dict)
+    #: RunSpec digest → unpickled RunResult for every matching cell.
+    cells: Dict[str, Any] = field(default_factory=dict)
     #: Failure records (raw dicts) matching the filter.
     failures: List[Dict[str, Any]] = field(default_factory=list)
     #: 1 when a truncated/corrupt final line was dropped, else 0.
@@ -62,20 +72,27 @@ class ResultsLedger:
         self,
         result: Any,
         *,
-        scale: str,
+        scale: Optional[str] = None,
         telemetry: bool = False,
         seed: Optional[int] = None,
+        spec: Any = None,
     ) -> None:
-        """Durably record one completed cell (``result`` is a RunResult)."""
+        """Durably record one completed cell (``result`` is a RunResult).
+
+        With ``spec`` (the cell's RunSpec) the record's scale, telemetry
+        and seed come from it and the spec itself is stored beside them.
+        """
         record = {
             "kind": "cell",
             "version": LEDGER_VERSION,
             "workload": result.workload,
             "method": result.method,
-            "scale": scale,
-            "telemetry": bool(telemetry),
-            "seed": seed,
+            "scale": spec.scale if spec is not None else scale,
+            "telemetry": spec.telemetry if spec is not None else bool(telemetry),
+            "seed": spec.seed if spec is not None else seed,
         }
+        if spec is not None:
+            record["spec"] = spec.as_dict()
         record.update(encode_payload(result))
         self._journal.append(record)
 
@@ -116,13 +133,13 @@ class ResultsLedger:
         scale: Optional[str] = None,
         telemetry: Optional[bool] = None,
     ) -> LedgerView:
-        """Read the ledger back, filtered to one (scale, telemetry) config.
+        """Read the ledger back, optionally filtered by scale and telemetry.
 
-        Cells recorded under a different scale or telemetry setting are
-        ignored, so a ledger cannot silently satisfy a resume with
-        results computed under other settings.  A failure record for a
-        cell does *not* mark it complete — later success lines win, and
-        cells with only failures are re-dispatched.
+        ``cells`` keys each cell by its RunSpec digest, which is what a
+        grid resume matches on; ``results`` keys it by (workload,
+        method), the later record winning.  A failure record for a cell
+        does *not* mark it complete — later success lines win, and cells
+        with only failures are re-dispatched.
         """
         view = LedgerView()
         for _lineno, record in self._journal.replay(self._parse):
@@ -133,10 +150,23 @@ class ResultsLedger:
                     continue
                 result = record["result"]
                 view.results[(result.workload, result.method)] = result
+                view.cells[self._spec(record).digest()] = result
             else:
                 view.failures.append(record)
         view.dropped_tail = self._journal.dropped_tail
         return view
+
+    @staticmethod
+    def _spec(record: Dict[str, Any]) -> Any:
+        """The RunSpec a cell record was computed under."""
+        # Imported here: repro.experiments imports this package.
+        from ..experiments.spec import RunSpec
+
+        if "spec" in record:
+            return RunSpec.from_dict(record["spec"])
+        return RunSpec.create(record["workload"], record["method"], record["scale"],
+                              seed=record.get("seed"),
+                              telemetry=bool(record.get("telemetry")))
 
     @staticmethod
     def _parse(record: Dict[str, Any]) -> Dict[str, Any]:

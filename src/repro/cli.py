@@ -256,7 +256,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             path=args.checkpoint, every_hours=args.checkpoint_every,
             handle_signals=True,
         )
-    trace = exp.get_workload(args.workload, scale)
+    spec = exp.RunSpec.create(args.workload, args.method, scale, seed=args.seed,
+                              solver=args.solver)
     tracer = Tracer()
     sigterm_fired: list = []
     signal_scope = (nullcontext() if checkpoint is not None
@@ -266,11 +267,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                          scale=scale.name) as sim_span:
             try:
                 with signal_scope:
-                    result = exp.run_one(trace, args.method, scale, seed=args.seed,
-                                         retry=retry, checkpoint=checkpoint,
-                                         resume_from=args.resume_from,
-                                         solver=args.solver,
-                                         yardstick=args.yardstick)
+                    result = exp.run_spec(spec, retry=retry, checkpoint=checkpoint,
+                                          resume_from=args.resume_from,
+                                          yardstick=args.yardstick)
             except SimulationInterrupted as exc:
                 # Orderly signal path: the final checkpoint is already on
                 # disk; flush exporters and exit with the signal's code.
@@ -358,8 +357,6 @@ def _cmd_solvers(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    # Grid cells re-resolve the scale by name inside pool workers, so only
-    # named scales (no ad-hoc fault overrides) are offered here.
     scale = exp.get_scale(args.scale)
     workloads = args.workloads.split(",") if args.workloads else list(exp.ALL_WORKLOADS)
     methods = args.methods.split(",") if args.methods else list(METHODS_SECTION4)
@@ -467,17 +464,12 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 2
     retry = (ClientRetryPolicy(attempts=max(args.client_retries, 1))
              if args.client_retries is not None else None)
-    params: dict = {"workload": args.workload, "method": args.method}
-    if args.scale:
-        params["scale"] = args.scale
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if args.generations is not None:
-        params["generations"] = args.generations
-    if args.nodes_hint is not None:
-        params["nodes_hint"] = args.nodes_hint
-    if args.walltime_hint is not None:
-        params["walltime_hint"] = args.walltime_hint
+    # Unset run fields stay unset: the daemon resolves them into the
+    # request's RunSpec (protocol.submit_spec), scale included.
+    params = {name: getattr(args, name) for name in (
+        "scale", "seed", "generations", "nodes_hint", "walltime_hint")
+        if getattr(args, name) is not None}
+    params.update(workload=args.workload, method=args.method)
     if args.chaos:
         params["chaos"] = json.loads(args.chaos)
     if args.key:

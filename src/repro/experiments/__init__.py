@@ -20,9 +20,10 @@ from . import (
     table3,
 )
 from .config import BASE_SEED, SCALES, Scale, get_scale
-from .grid import metric_table, run_grid
+from .grid import metric_table, run_grid, run_spec
 from .kiviat import AXES_SECTION4, AXES_SECTION5, kiviat_areas, normalize, polygon_area
 from .runner import RunResult, policy_for, run_one
+from .spec import RunSpec
 from .workloads import (
     ALL_WORKLOADS,
     CORI_WORKLOADS,
@@ -39,6 +40,8 @@ __all__ = [
     "get_scale",
     "RunResult",
     "run_one",
+    "RunSpec",
+    "run_spec",
     "policy_for",
     "run_grid",
     "metric_table",

@@ -1,9 +1,10 @@
 """The §4 evaluation grid: 8 methods × 10 workloads.
 
 Figures 6, 7, 8, 12, and 13 all read from the same grid of simulation
-runs, so it is computed once per scale and memoised for the process
-lifetime.  Each cell is an independent simulation with its own seed;
-multi-core machines execute cells through
+runs, so it is computed once per set of cell specs and memoised for the
+process lifetime.  Each cell is an independent simulation described by
+one :class:`~repro.experiments.spec.RunSpec`, seed included, and run by
+:func:`run_spec`; multi-core machines execute cells through
 :func:`repro.parallel.parallel_map`.
 
 Long grids are made pre-emption-safe by the results ledger
@@ -16,18 +17,19 @@ that were in flight.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..checkpoint import ResultsLedger
-from ..errors import TaskError
+from ..errors import ConfigurationError, TaskError
 from ..methods import METHODS_SECTION4
 from ..parallel import parallel_map
-from ..rng import stable_hash
 from ..telemetry import TelemetrySnapshot, merge_snapshots
-from .config import BASE_SEED, Scale, get_scale
+from .config import Scale, get_scale
 from .runner import RunResult, run_one
+from .spec import RunSpec, cell_seed  # noqa: F401  (cell_seed: re-exported)
 from .workloads import ALL_WORKLOADS, get_workload
 
 #: Grid cell key: (workload label, method name).
@@ -35,36 +37,39 @@ GridKey = Tuple[str, str]
 Grid = Dict[GridKey, RunResult]
 
 
-def cell_seed(workload: str, method: str) -> int:
-    """The deterministic seed of one grid cell (stable across processes)."""
-    return (BASE_SEED * 31 + stable_hash(f"{workload}|{method}")) & 0x7FFFFFFF
+def run_spec(spec: RunSpec, **extra: Any) -> RunResult:
+    """Simulate one :class:`RunSpec` (module-level so it pickles for the pool).
+
+    ``extra`` passes :func:`run_one`'s knobs that are not part of a run's
+    identity: ``retry``, ``yardstick``, ``checkpoint``, ``resume_from``.
+    """
+    scale = get_scale(spec.scale)
+    trace = get_workload(spec.workload, scale)
+    return run_one(
+        trace, spec.method, scale, seed=spec.seed, solver=spec.solver,
+        window=spec.window, generations=spec.generations, faults=spec.faults,
+        watchdog_budget=spec.watchdog_budget, collect_telemetry=spec.telemetry,
+        **extra,
+    )
 
 
-def _cell(
-    workload: str,
-    method: str,
-    scale_name: str,
-    telemetry: bool = False,
-    seed: Optional[int] = None,
-) -> RunResult:
-    """One grid cell (module-level so it pickles for the process pool)."""
-    scale = get_scale(scale_name)
-    trace = get_workload(workload, scale)
-    if seed is None:
-        seed = cell_seed(workload, method)
-    return run_one(trace, method, scale, seed=seed, collect_telemetry=telemetry)
+def _carried(scale: Scale) -> Scale:
+    """``scale``, refused if it differs from its named scale in a field a
+    :class:`RunSpec` cannot carry (pool workers rebuild it from the name)."""
+    named = get_scale(scale.name)
+    lost = [f.name for f in dataclasses.fields(Scale)
+            if getattr(scale, f.name) != getattr(named, f.name)
+            and f.name not in ("window", "generations", "faults", "watchdog_budget")]
+    if lost:
+        raise ConfigurationError(
+            f"scale {scale.name!r} overrides {lost}; a grid cell carries only "
+            "window, generations, faults and watchdog_budget over its named scale")
+    return scale
 
 
 @lru_cache(maxsize=4)
-def _grid_cached(scale_name: str, workloads: Tuple[str, ...],
-                 methods: Tuple[str, ...], workers: Optional[int],
-                 telemetry: bool = False) -> tuple:
-    tasks = [
-        (w, m, scale_name, telemetry, cell_seed(w, m))
-        for w in workloads for m in methods
-    ]
-    results = parallel_map(_cell, tasks, workers=workers)
-    return tuple(results)
+def _grid_cached(specs: Tuple[RunSpec, ...], workers: Optional[int]) -> tuple:
+    return tuple(parallel_map(run_spec, [(s,) for s in specs], workers=workers))
 
 
 def run_grid(
@@ -81,58 +86,58 @@ def run_grid(
 ) -> Grid:
     """All (workload, method) runs as a dictionary keyed by (workload, method).
 
+    Each cell is the :class:`RunSpec` of its (workload, method) at
+    ``scale``, with the scale's window, generations, fault scenario and
+    watchdog budget and the cell's :func:`cell_seed`.  Results are
+    memoised per tuple of specs.
+
     ``telemetry=True`` makes every cell collect a per-run
     :class:`~repro.telemetry.TelemetrySnapshot` (even when cells execute
     on pool workers); aggregate them with :func:`grid_telemetry`.
 
     ``ledger`` switches to durable execution: each completed cell is
     appended to the JSONL ledger as it finishes (bypassing the in-process
-    memoisation).  With ``resume=True`` cells already in the ledger for
-    this (scale, telemetry) configuration are returned without
-    recomputation; without it the ledger is truncated first.
-    ``task_timeout``/``task_retries`` are handed to
-    :func:`~repro.parallel.parallel_map` supervision; a cell that
-    exhausts its budget is recorded as a failure line (and re-dispatched
-    by the next ``resume=True`` run) before the
+    memoisation).  With ``resume=True`` cells already in the ledger under
+    the same spec digest are returned without recomputation; without it
+    the ledger is truncated first.  ``task_timeout``/``task_retries`` are
+    handed to :func:`~repro.parallel.parallel_map` supervision; a cell
+    that exhausts its budget is recorded as a failure line (and
+    re-dispatched by the next ``resume=True`` run) before the
     :class:`~repro.errors.TaskError` propagates.
     """
-    sc = scale or get_scale()
+    sc = _carried(scale or get_scale())
+    specs = tuple(RunSpec.create(w, m, sc, telemetry=telemetry)
+                  for w in workloads for m in methods)
     if ledger is None:
-        results = _grid_cached(sc.name, tuple(workloads), tuple(methods), workers,
-                               telemetry)
-        return {(r.workload, r.method): r for r in results}
+        return {(s.workload, s.method): r
+                for s, r in zip(specs, _grid_cached(specs, workers))}
     book = ResultsLedger(ledger)
-    done: Grid = {}
+    done: Dict[RunSpec, RunResult] = {}
     if resume:
-        view = book.load(scale=sc.name, telemetry=telemetry)
-        done = {
-            key: result for key, result in view.results.items()
-            if key[0] in workloads and key[1] in methods
-        }
+        cells = book.load().cells
+        done = {s: cells[s.digest()] for s in specs if s.digest() in cells}
     else:
         book.reset()
-    todo = [(w, m) for w in workloads for m in methods if (w, m) not in done]
-    tasks = [(w, m, sc.name, telemetry, cell_seed(w, m)) for w, m in todo]
+    todo = [s for s in specs if s not in done]
 
     def persist(index: int, result: RunResult) -> None:
-        book.append_result(result, scale=sc.name, telemetry=telemetry,
-                           seed=tasks[index][4])
+        book.append_result(result, spec=todo[index])
 
     try:
         fresh = parallel_map(
-            _cell, tasks, workers=workers, timeout=task_timeout,
-            retries=task_retries, on_result=persist,
+            run_spec, [(s,) for s in todo], workers=workers,
+            timeout=task_timeout, retries=task_retries, on_result=persist,
         )
     except TaskError as exc:
-        workload, method = exc.task[0], exc.task[1]
+        spec = exc.task[0]
         book.append_failure(
-            workload=workload, method=method, scale=sc.name,
+            workload=spec.workload, method=spec.method, scale=spec.scale,
             error=str(exc), attempts=exc.attempts,
             traceback_text=exc.traceback_text,
         )
         raise
-    done.update({(r.workload, r.method): r for r in fresh})
-    return done
+    done.update(zip(todo, fresh))
+    return {(s.workload, s.method): done[s] for s in specs}
 
 
 def grid_telemetry(grid: Grid) -> TelemetrySnapshot:

@@ -34,6 +34,7 @@ from ..telemetry import TelemetrySnapshot, Tracer, get_tracer, snapshot_from, us
 from ..windows import WindowPolicy
 from ..workloads import Trace
 from .config import BASE_SEED, Scale, get_scale
+from .spec import RunSpec
 
 
 @dataclass
@@ -116,10 +117,12 @@ def run_one(
     a snapshotted engine and continues it instead of starting fresh (the
     selector/fault/seed knobs above are baked into the snapshot, so their
     arguments are ignored on resume — only the trace and method are
-    cross-checked against the checkpoint's manifest).  See
-    ``docs/checkpointing.md``.
+    cross-checked against the checkpoint's manifest).  The manifest's
+    ``spec_sha256`` is the run's :class:`~repro.experiments.spec.RunSpec`
+    digest, carried over on resume.  See ``docs/checkpointing.md``.
     """
     sc = scale or get_scale()
+    spec_sha256 = None
     if resume_from is not None:
         engine, header = load_checkpoint(resume_from)
         meta = header["manifest"].get("meta", {})
@@ -131,18 +134,26 @@ def run_one(
                     f"cannot resume it as {key}={expected!r}"
                 )
         run_engine = lambda: engine.continue_run(checkpointer=checkpointer)  # noqa: E731
+        spec_sha256 = meta.get("spec_sha256")
     else:
         scenario = faults if faults is not None else sc.faults
         budget = watchdog_budget if watchdog_budget is not None else sc.watchdog_budget
+        ga_seed = seed if seed is not None else BASE_SEED ^ stable_hash(method) & 0xFFFF
         selector = make_selector(
             method,
             generations=generations if generations is not None else sc.generations,
             population=sc.population,
             mutation=sc.mutation,
-            seed=seed if seed is not None else BASE_SEED ^ stable_hash(method) & 0xFFFF,
+            seed=ga_seed,
             solver=solver,
             yardstick=yardstick,
         )
+        if checkpoint is not None and isinstance(ga_seed, int):
+            spec_sha256 = RunSpec.create(
+                trace.name, method, sc, seed=ga_seed, solver=solver, window=window,
+                generations=generations, faults=scenario, watchdog_budget=budget,
+                telemetry=collect_telemetry,
+            ).digest()
         if budget is not None:
             selector = SolverWatchdog(selector, budget)
         injector = (
@@ -166,6 +177,7 @@ def run_one(
         checkpointer = Checkpointer(checkpoint, meta={
             "workload": trace.name, "method": method, "scale": sc.name,
             "seed": seed if isinstance(seed, int) else None,
+            "spec_sha256": spec_sha256,
         })
     signal_scope = checkpointer.signals() if checkpointer is not None else nullcontext()
     active = get_tracer()

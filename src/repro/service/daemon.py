@@ -18,9 +18,13 @@ loop listening on a Unix socket and, optionally, a TCP port:
   still parsed and answered;
 * **idempotent resubmission**: a submit carrying an ``idempotency_key``
   the daemon has seen returns the original request's status (flagged
-  ``deduped``) instead of running twice.  The key→id map is rebuilt
-  from the journal on recovery, so dedup survives a SIGKILL — this is
-  the primitive the shard router builds exactly-once on;
+  ``deduped``) instead of running twice.  The key is bound to the
+  request's :class:`~repro.experiments.spec.RunSpec` digest, so reusing
+  it for a different run (another seed, say) is a 409 conflict, not a
+  silent dedup to the wrong result.  The key map, digests included, is
+  rebuilt from the journal's params on recovery, so dedup survives a
+  SIGKILL — this is the primitive the shard router builds exactly-once
+  on;
 * the **degradation ladder** engages at dispatch time: queue pressure
   ≥ 50% halves the GA generation budget and arms a solver watchdog,
   ≥ 85% quarters it and tightens the watchdog — the service keeps
@@ -46,9 +50,9 @@ import asyncio
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
-from ..errors import PoisonRequestError, ServiceError
+from ..errors import PoisonRequestError, ReproError, ServiceError
 from ..telemetry import MetricsRegistry
 from . import protocol
 from .journal import RequestJournal
@@ -110,8 +114,9 @@ class ServiceDaemon:
         )
         #: request id → {"state", "params", and terminal details}.
         self._status: Dict[str, Dict[str, Any]] = {}
-        #: idempotency key → request id (journal-backed, rebuilt on boot).
-        self._keys: Dict[str, str] = {}
+        #: idempotency key → (request id, RunSpec digest of its params);
+        #: journal-backed, rebuilt on boot.
+        self._keys: Dict[str, Tuple[str, Optional[str]]] = {}
         self._terminal_events: Dict[str, asyncio.Event] = {}
         self._seq = 0
         self._connections = 0
@@ -139,7 +144,7 @@ class ServiceDaemon:
         for rid, record in view.requests.items():
             key = (record["params"] or {}).get("idempotency_key")
             if key:
-                self._keys[key] = rid
+                self._keys[key] = (rid, self._key_digest(record["params"]))
             terminal = view.terminal.get(rid)
             if terminal is None:
                 try:
@@ -169,6 +174,16 @@ class ServiceDaemon:
                 entry["error"] = terminal.get("error")
                 entry["code"] = terminal.get("code", 500)
             self._status[rid] = entry
+
+    @staticmethod
+    def _key_digest(params: Dict[str, Any]) -> Optional[str]:
+        """The RunSpec digest of journaled params (None when this build
+        cannot resolve them, e.g. a scale it no longer has: any resubmit
+        of that key is then a conflict)."""
+        try:
+            return protocol.submit_spec(params).digest()
+        except ReproError:
+            return None
 
     @staticmethod
     def _parse_tcp(spec: str) -> tuple:
@@ -323,8 +338,14 @@ class ServiceDaemon:
         params = message["params"]
         key = params.get("idempotency_key")
         if key is not None:
-            existing = self._keys.get(key)
+            digest = protocol.submit_spec(params).digest()
+            existing, bound = self._keys.get(key, (None, None))
             if existing is not None:
+                if bound != digest:
+                    self.metrics.inc("service.key_conflicts")
+                    raise ServiceError(
+                        f"idempotency key {key!r} is bound to request "
+                        f"{existing}, which runs a different RunSpec", code=409)
                 # Exactly-once under resend: the retry (or a failed-over
                 # router) gets the original request, never a second run.
                 self.metrics.inc("service.deduped")
@@ -344,7 +365,7 @@ class ServiceDaemon:
             self.journal.append_request(rid, self._seq, params)
         self._status[rid] = {"state": "queued", "params": params}
         if key is not None:
-            self._keys[key] = rid
+            self._keys[key] = (rid, digest)
         assert self._kick is not None
         self._kick.set()
         return protocol.ok_response(
@@ -395,7 +416,7 @@ class ServiceDaemon:
         return protocol.ok_response(id=rid, state="cancelling")
 
     def _handle_status_by_key(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        rid = self._keys.get(message["key"])
+        rid, _ = self._keys.get(message["key"], (None, None))
         if rid is None:
             raise ServiceError(
                 f"no request with idempotency key {message['key']!r}",

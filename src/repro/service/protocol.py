@@ -8,9 +8,13 @@ deliberately trivial — any language (or ``socat``) can speak it — and
 every message is a self-contained JSON object, so a connection dropped
 mid-conversation never leaves ambiguous state on either side.
 
-Validation lives here so the daemon and the offline tools
-(``tools/validate_checkpoint.py --kind journal``) reject malformed
-requests identically.
+Validation lives here, so a submit at the door and a journaled request
+replayed on recovery are checked by the same :func:`validate_submit`.
+The offline journal audit (``tools/validate_checkpoint.py --kind
+journal``) is stdlib-only and checks the journal's structure, not submit
+params.  :func:`submit_spec` turns validated params into the
+:class:`~repro.experiments.spec.RunSpec` a request runs; its digest is
+what an idempotency key is bound to.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Any, Dict, Optional
 
 from ..errors import ServiceError
 from ..experiments.config import SCALES
+from ..experiments.spec import RunSpec
 from ..experiments.workloads import ALL_WORKLOADS
 from ..methods import available_methods
 
@@ -168,6 +173,22 @@ def validate_submit(params: Dict[str, Any]) -> Dict[str, Any]:
                 f"idempotency_key must be 1..{MAX_KEY_LENGTH} chars", code=400)
         out["idempotency_key"] = key
     return out
+
+
+def submit_spec(params: Dict[str, Any]) -> RunSpec:
+    """The :class:`RunSpec` of validated submit params.
+
+    The admission hints, the chaos directive and the idempotency key are
+    not run fields.  The daemon binds a key to the digest of the params
+    as submitted; the worker runs the spec of the params as dispatched,
+    which carry any degradation overrides.  A missing scale resolves
+    through ``REPRO_SCALE``.
+    """
+    return RunSpec.create(
+        params["workload"], params["method"], params.get("scale"),
+        seed=params.get("seed"), generations=params.get("generations"),
+        watchdog_budget=params.get("watchdog_budget"),
+    )
 
 
 # --- HTTP/1.1 adapter ----------------------------------------------------------

@@ -23,11 +23,11 @@ import signal
 import time
 from typing import Any, Dict, Optional
 
-from ..experiments.config import get_scale
-from ..experiments.grid import cell_seed
-from ..experiments.runner import RunResult, run_one
-from ..experiments.workloads import get_workload
+from ..experiments.grid import run_spec
+from ..experiments.runner import RunResult
 from ..parallel.supervisor import current_dispatch
+from .protocol import submit_spec
+
 
 def apply_chaos(chaos: Optional[Dict[str, Any]], attempt: int) -> None:
     """Inject the directive's fault for this attempt (deterministic).
@@ -57,22 +57,7 @@ def execute_request(
     """Run one simulation request to completion on this worker."""
     if allow_chaos:
         apply_chaos(params.get("chaos"), current_dispatch())
-    scale = get_scale(params.get("scale"))
-    workload = params["workload"]
-    method = params["method"]
-    trace = get_workload(workload, scale)
-    seed = params.get("seed")
-    if seed is None:
-        seed = cell_seed(workload, method)
-    return run_one(
-        trace,
-        method,
-        scale,
-        seed=seed,
-        generations=params.get("generations"),
-        watchdog_budget=params.get("watchdog_budget"),
-        collect_telemetry=bool(params.get("telemetry", False)),
-    )
+    return run_spec(submit_spec(params))
 
 
 def result_summary(result: RunResult) -> Dict[str, Any]:

@@ -390,13 +390,13 @@ class TestGridResume:
         assert len(partial) == 1
         calls = []
         import repro.experiments.grid as grid_mod
-        original = grid_mod._cell
+        original = grid_mod.run_spec
 
-        def counting_cell(*args, **kwargs):
-            calls.append(args[:2])
-            return original(*args, **kwargs)
+        def counting_cell(spec, **kwargs):
+            calls.append((spec.workload, spec.method))
+            return original(spec, **kwargs)
 
-        monkeypatch.setattr(grid_mod, "_cell", counting_cell)
+        monkeypatch.setattr(grid_mod, "run_spec", counting_cell)
         full = run_grid(SMOKE, workloads=["Theta-S4"],
                         methods=["Baseline", "BBSched"], workers=1,
                         ledger=ledger, resume=True)

@@ -61,6 +61,12 @@ TINY = dataclasses.replace(
 #: One FCFS site (Cori) and one WFP site (Theta), per §4.3.
 WORKLOADS = ("Cori-S1", "Theta-S2")
 
+#: TINY's 60-job traces never build a backlog that a window cannot fit
+#: whole, so every selection front is one point and the survivor order
+#: never matters (reversing Set 1 in ``MOGASolver._select`` leaves every
+#: TINY fingerprint unchanged).  Four times the jobs make windows contend.
+CONTENDED = dataclasses.replace(get_scale("smoke"), n_jobs=240)
+
 
 def make_job(jid, nodes, bb=0.0, ssd=0.0):
     return Job(jid=jid, submit_time=0.0, runtime=10.0, walltime=10.0,
@@ -371,11 +377,11 @@ class TestFusedGeneration:
                 assert on.genes.tolist() == [[0] * 10]
 
 
-def _digests(workload, method, **oracles):
-    """Fingerprint digests of one TINY run in production and on oracles."""
-    on = run_one(get_workload(workload, TINY), method, TINY)
+def _digests(workload, method, scale=TINY, **oracles):
+    """Fingerprint digests of one run in production and on oracles."""
+    on = run_one(get_workload(workload, scale), method, scale)
     with reference_paths(**oracles):
-        off = run_one(get_workload(workload, TINY), method, TINY)
+        off = run_one(get_workload(workload, scale), method, scale)
     return fingerprint_digest(on), fingerprint_digest(off)
 
 
@@ -386,6 +392,13 @@ class TestRunDifferential:
     @pytest.mark.parametrize("method", METHODS_SECTION4)
     def test_fingerprints_identical(self, method, workload):
         on, off = _digests(workload, method, engine=False)
+        assert on == off
+
+
+    @pytest.mark.parametrize("workload", ("Cori-S1", "Theta-S2", "Theta-S4"))
+    def test_contended_bbsched_fingerprints_identical(self, workload):
+        """BBSched's multi-objective fronts, with more than one member."""
+        on, off = _digests(workload, "BBSched", CONTENDED, engine=False)
         assert on == off
 
 

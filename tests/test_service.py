@@ -820,6 +820,46 @@ class TestCancelAndIdempotency:
             assert again["id"] == first["id"]
             assert again.get("deduped") is True
 
+    def test_reused_key_with_other_run_fields_is_409(self, tmp_path):
+        with DaemonHarness(tmp_path) as h:
+            first = h.client.submit(idempotency_key="job-1", seed=1, **SMOKE)
+            with pytest.raises(ServiceError) as excinfo:
+                h.client.submit(idempotency_key="job-1", seed=2, **SMOKE)
+            assert excinfo.value.code == 409
+            assert "job-1" in str(excinfo.value)
+            # Admission hints and chaos are not run fields: still a resend.
+            again = h.client.submit(idempotency_key="job-1", seed=1,
+                                    nodes_hint=8, walltime_hint=60.0,
+                                    chaos={"crash_attempts": 0}, **SMOKE)
+            assert again["id"] == first["id"] and again.get("deduped") is True
+            h.client.wait(first["id"], timeout=120.0)
+            counters = h.client.stats()["metrics"]["counters"]
+            assert counters.get("service.key_conflicts") == 1
+        with DaemonHarness(tmp_path) as h:  # same journal: digests recomputed
+            with pytest.raises(ServiceError) as excinfo:
+                h.client.submit(idempotency_key="job-1", seed=2, **SMOKE)
+            assert excinfo.value.code == 409
+            again = h.client.submit(idempotency_key="job-1", seed=1, **SMOKE)
+            assert again["id"] == first["id"] and again.get("deduped") is True
+        view = RequestJournal(h.journal_path).load()
+        assert len(view.requests) == 1
+
+    def test_digest_is_taken_before_degradation(self, tmp_path):
+        # A journal whose request ran degraded (fewer generations and a
+        # watchdog): the key stays bound to what the client asked for.
+        journal = RequestJournal(tmp_path / "svc.jsonl")
+        params = {**SMOKE, "method": "BBSched", "idempotency_key": "deg"}
+        journal.append_request("r000001", 1, params)
+        journal.append_running("r000001", 1, degrade=2, overrides={
+            "generations": 5, "watchdog_budget": 1.0})
+        journal.append_done("r000001", {"sentinel": 1}, {"metrics": {}}, 0.1)
+        with DaemonHarness(tmp_path) as h:
+            again = h.client.submit(**params)
+            assert again["id"] == "r000001" and again.get("deduped") is True
+            with pytest.raises(ServiceError) as excinfo:
+                h.client.submit(**params, generations=5, watchdog_budget=1.0)
+            assert excinfo.value.code == 409
+
     def test_status_by_key(self, tmp_path):
         with DaemonHarness(tmp_path) as h:
             accepted = h.client.submit(idempotency_key="job-1", **SMOKE)

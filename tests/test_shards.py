@@ -259,6 +259,17 @@ class TestShardedSubmit:
         assert second.deduped
         assert second.request_id == first.request_id
 
+    def test_reused_key_with_another_seed_is_409_without_failover(self, shards):
+        key = shards.key_for(0)
+        first = shards.router.submit(idempotency_key=key, seed=1, **SMOKE)
+        with pytest.raises(ServiceError) as excinfo:
+            shards.router.submit(idempotency_key=key, seed=2, **SMOKE)
+        assert excinfo.value.code == 409
+        assert not isinstance(excinfo.value, ShardError)
+        assert key in str(excinfo.value)
+        assert shards.router.failovers == 0
+        shards.router.wait(first, timeout=120.0)
+
     def test_dead_primary_fails_over(self, tmp_path):
         fixture = ShardFixture(tmp_path, start=(False, True))
         try:
