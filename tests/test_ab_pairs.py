@@ -1,6 +1,8 @@
-"""Statistics of the paired A/B runner (tools/ab_pairs.py) on synthetic pairs."""
+"""The paired A/B runner (tools/ab_pairs.py) on synthetic pairs and stubbed runs."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -80,3 +82,41 @@ class TestSummarize:
     def test_mismatched_sides_rejected(self):
         with pytest.raises(ValueError):
             ab.summarize([1.0, 2.0], [1.0], "lower")
+
+
+def _run(rss, attempted, wall=2.5):
+    """A stubbed perfbench run: its metrics and its operation count."""
+    return {"peak_rss_mb": rss, "run_wall_s": wall}, attempted
+
+
+SPEC = {"peak_rss_mb": ("MB", "lower"), "run_wall_s": ("s", "lower")}
+
+
+class TestOperationCounts:
+    def test_run_once_reads_attempted(self, monkeypatch):
+        line = json.dumps({"correct": True, "attempted": 7, "failed": 0,
+                           "metrics": {"run_wall_s": {"value": 2.5, "unit": "s"}}})
+        monkeypatch.setattr(ab.subprocess, "run", lambda *a, **k: subprocess.CompletedProcess(
+            a[0], 0, stdout="notes\n" + line + "\n", stderr=""))
+        assert ab.run_once("/nowhere", "theta-bbsched", 1.0) == ({"run_wall_s": 2.5}, 7)
+
+    def test_medians_printed_beside_peak_rss(self):
+        runs = {"base": [_run(44.0, 6), _run(44.1, 6), _run(44.1, 8)],
+                "change": [_run(44.2, 7), _run(44.2, 7), _run(44.3, 9)]}
+        lines = ab.report(runs, SPEC)
+        rss = next(line for line in lines if line.startswith("peak_rss_mb"))
+        assert rss.endswith("(median operations: base 6, change 7)")
+        wall = next(line for line in lines if line.startswith("run_wall_s"))
+        assert "operations" not in wall
+
+    def test_pairs_with_different_counts_are_flagged(self):
+        runs = {"base": [_run(44.0, 6), _run(44.0, 6), _run(44.0, 6)],
+                "change": [_run(44.0, 6), _run(44.1, 7), _run(44.0, 5)]}
+        flags = [line for line in ab.report(runs, SPEC) if line.startswith("pair ")]
+        assert flags == ["pair 2: operations differ (base 6, change 7)",
+                         "pair 3: operations differ (base 6, change 5)"]
+
+    def test_equal_counts_flag_nothing(self):
+        runs = {"base": [_run(44.0, 6)] * 3, "change": [_run(44.1, 6)] * 3}
+        lines = ab.report(runs, SPEC)
+        assert len(lines) == 2 and not any(line.startswith("pair ") for line in lines)

@@ -18,7 +18,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from chaos import ChaosHarness, ChaosPlan, run_chaos  # noqa: E402
+from chaos import (  # noqa: E402
+    ChaosHarness,
+    ChaosPlan,
+    NetworkChaosPlan,
+    run_chaos,
+    run_network_chaos,
+)
 
 from repro.checkpoint.journal import JsonlJournal
 from repro.errors import CheckpointError
@@ -135,6 +141,21 @@ class TestChaosEndToEnd:
             verify_payloads=True)
         assert len(view.terminal) == 6
         assert not view.pending()
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_shard_kill_and_recover(self, tmp_path, shards):
+        """One shard SIGKILLed mid-submission and restarted, behind the
+        router; the two-shard fleet runs in CI's network-chaos job."""
+        plan = NetworkChaosPlan(seed=0, requests=8, shards=shards,
+                                shard_kills=1, blackholes=0, slow_loris=0,
+                                torn_frames=0, scale="smoke", timeout=240.0)
+        report = run_network_chaos(plan, workdir=str(tmp_path))
+        assert report["faults"][0]["fault"] == "shard_kill"
+        assert report["outcomes"] == {"done": 8}
+        audit = report["audit"]
+        assert audit["exactly_once"] is True
+        assert not audit["pending_keys"]
+        assert audit["keys_audited"] >= audit["keys_submitted"] == 8
 
     def test_poison_request_quarantined(self, tmp_path):
         plan = ChaosPlan(seed=7, requests=5, poison_requests=1,

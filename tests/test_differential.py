@@ -67,6 +67,12 @@ WORKLOADS = ("Cori-S1", "Theta-S2")
 #: TINY fingerprint unchanged).  Four times the jobs make windows contend.
 CONTENDED = dataclasses.replace(get_scale("smoke"), n_jobs=240)
 
+#: The §4 methods that run ``ScalarGASolver``.  Doubling ``generations``
+#: changes all five fingerprints at CONTENDED on Cori-S1, and none at TINY
+#: or on Theta-S2, so CONTENDED Cori-S1 is where their GA is exercised.
+SCALAR_GA_METHODS = ("Weighted", "Weighted_BB", "Weighted_CPU",
+                     "Constrained_BB", "Constrained_CPU")
+
 
 def make_job(jid, nodes, bb=0.0, ssd=0.0):
     return Job(jid=jid, submit_time=0.0, runtime=10.0, walltime=10.0,
@@ -401,6 +407,12 @@ class TestRunDifferential:
         on, off = _digests(workload, "BBSched", CONTENDED, engine=False)
         assert on == off
 
+    @pytest.mark.parametrize("method", SCALAR_GA_METHODS)
+    def test_contended_scalar_fingerprints_identical(self, method):
+        """The scalarised GA methods, whose survivor choice TINY never reaches."""
+        on, off = _digests("Cori-S1", method, CONTENDED, engine=False)
+        assert on == off
+
 
 class TestFastEngineDifferential:
     """Engine vs reference-engine fingerprint identity, every §4 method."""
@@ -431,7 +443,10 @@ class TestOracleWiring:
     def test_production_uses_cache_and_table_order(self):
         counters = self._counters(ga=False, engine=False)
         assert counters["ga.eval_cache.misses"] > 0
+        assert counters["ga.eval_cache.hits"] > 0
         assert counters["engine.order.vectorized"] > 0
+        assert counters["engine.order.cache_hits"] > 0
+        assert counters.get("engine.order.fallback", 0) == 0
 
     def test_oracles_bypass_cache_and_table_order(self):
         counters = self._counters()

@@ -9,7 +9,10 @@ alternating which side goes first.  Every run is the benchmark's own:
 it prints the median and interquartile range of each side, the pairs the
 checkout won, and the median paired difference with a bootstrap
 confidence interval.  When that interval spans zero it prints
-"no effect" instead of a number.  Run ten pairs or more: with five,
+"no effect" instead of a number.  Beside ``peak_rss_mb``, which grows
+with the simulations one process runs, it prints the median number of
+operations each side attempted, and it flags every pair whose two
+counts differ.  Run ten pairs or more: with five,
 every set whose differences share a sign (one in sixteen when there is
 no effect) yields an interval that misses zero.
 
@@ -107,8 +110,12 @@ def directions(bench: dict) -> Dict[str, Tuple[str, str]]:
             for m in bench["end_to_end"] + bench["per_layer"]}
 
 
-def run_once(root: str, workload: str, seconds: float) -> Dict[str, float]:
-    """One perfbench run in ``root``; its metrics by name."""
+Run = Tuple[Dict[str, float], int]
+
+
+def run_once(root: str, workload: str, seconds: float) -> Run:
+    """One perfbench run in ``root``: its metrics by name, and the number of
+    operations it attempted."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", "0", "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -122,7 +129,29 @@ def run_once(root: str, workload: str, seconds: float) -> Dict[str, float]:
     if proc.returncode != 0 or result is None or not result.get("correct"):
         sys.stderr.write(proc.stderr[-2000:])
         raise SystemExit(f"error: perfbench failed in {root} (exit {proc.returncode})")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return ({name: m["value"] for name, m in result["metrics"].items()},
+            int(result["attempted"]))
+
+
+def report(runs: Dict[str, List[Run]], spec: Dict[str, Tuple[str, str]]) -> List[str]:
+    """One table row per metric both sides report, then one line per pair
+    whose sides attempted different numbers of operations."""
+    metrics = {side: [m for m, _ in runs[side]] for side in ("base", "change")}
+    ops = {side: [n for _, n in runs[side]] for side in ("base", "change")}
+    lines = []
+    for name in sorted(set(metrics["base"][0]) & set(metrics["change"][0])):
+        unit, better = spec.get(name, ("", "lower"))
+        s = summarize([r[name] for r in metrics["base"]],
+                      [r[name] for r in metrics["change"]], better)
+        row = format_row(name, unit, s)
+        if name == "peak_rss_mb":
+            row += (f"  (median operations: base {np.median(ops['base']):g}, "
+                    f"change {np.median(ops['change']):g})")
+        lines.append(row)
+    for i, (b, c) in enumerate(zip(ops["base"], ops["change"]), start=1):
+        if b != c:
+            lines.append(f"pair {i}: operations differ (base {b}, change {c})")
+    return lines
 
 
 def git(*argv: str) -> str:
@@ -144,7 +173,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     tmp = tempfile.mkdtemp(prefix="ab_pairs_")
     tree = os.path.join(tmp, "base")
-    runs: Dict[str, List[Dict[str, float]]] = {"base": [], "change": []}
+    runs: Dict[str, List[Run]] = {"base": [], "change": []}
     try:
         git("worktree", "add", "--detach", tree, sha)
         roots = {"base": tree, "change": ROOT}
@@ -159,16 +188,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                        capture_output=True)
         subprocess.run(["git", "-C", ROOT, "worktree", "prune"], capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-    spec = directions(bench)
     print(f"{args.workload}: base {sha[:12]} vs this checkout, {args.pairs} alternating "
           f"pairs, --seconds {seconds:g}")
     print(f"{'metric':34s} {'unit':6s} {'base':>10s} {'IQR':22s} {'change':>10s} "
           f"{'IQR':22s} {'won':5s} effect (95% CI)")
-    for name in sorted(set(runs["base"][0]) & set(runs["change"][0])):
-        unit, better = spec.get(name, ("", "lower"))
-        s = summarize([r[name] for r in runs["base"]],
-                      [r[name] for r in runs["change"]], better)
-        print(format_row(name, unit, s))
+    print("\n".join(report(runs, directions(bench))))
     return 0
 
 

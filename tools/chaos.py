@@ -30,8 +30,9 @@ After the plan runs, the harness audits the journal with
 ``RequestJournal.load(verify_payloads=True)`` — which itself raises on
 any exactly-once violation — and cross-checks that every submitted
 request has exactly one terminal record.  The report (JSON) carries the
-outcome histogram and per-restart recovery times, and is what
-``benchmarks/test_bench_service.py`` distils into ``BENCH_service.json``.
+outcome histogram and per-restart recovery times.  ``tests/test_chaos.py``
+runs pinned plans of both kinds; service speed is perfbench's
+``service-burst`` workload, not this harness's.
 
 Usage::
 
