@@ -18,7 +18,8 @@ to start; the engine performs the actual allocations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -32,15 +33,36 @@ _OVERRUN_EPSILON = 1e-6
 
 @dataclass(frozen=True)
 class PlannedRelease:
-    """A running job's future resource release, per the walltime estimate."""
+    """A running job's future resource release, per the walltime estimate.
+
+    ``nodes`` (the total over tiers) and ``min_cap`` (the smallest tier
+    the release holds) are derived once here for the shadow-time walk.
+    They are left out of the pickled state, so a checkpoint carries the
+    same three fields it always did and older checkpoints still load.
+    """
 
     est_end: float
     bb: float
     nodes_by_tier: Mapping[float, int]
+    nodes: int = field(init=False, repr=False, compare=False)
+    min_cap: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def nodes(self) -> int:
-        return sum(self.nodes_by_tier.values())
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", sum(self.nodes_by_tier.values()))
+        object.__setattr__(self, "min_cap", min(self.nodes_by_tier, default=math.inf))
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {"est_end": self.est_end, "bb": self.bb,
+                "nodes_by_tier": self.nodes_by_tier}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name in ("est_end", "bb", "nodes_by_tier"):
+            object.__setattr__(self, name, state[name])
+        self.__post_init__()
+
+
+#: Sort key of a release ledger: the estimated end.
+by_est_end = attrgetter("est_end")
 
 
 class _Pool:
@@ -62,9 +84,6 @@ class _Pool:
         self._nodes = sum(self.tiers.values())
         self._min_cap = min(self.tiers) if self.tiers else 0.0
 
-    def copy(self) -> "_Pool":
-        return _Pool(self.bb, self.tiers)
-
     @property
     def nodes(self) -> int:
         return self._nodes
@@ -76,15 +95,6 @@ class _Pool:
 
     def fits(self, job: Job) -> bool:
         return job.bb <= self.bb and self.qualifying(job.ssd) >= job.nodes
-
-    def add(self, release: PlannedRelease) -> None:
-        self.bb += release.bb
-        tiers = self.tiers
-        for cap, n in release.nodes_by_tier.items():
-            tiers[cap] = tiers.get(cap, 0) + n
-            self._nodes += n
-            if cap < self._min_cap:
-                self._min_cap = cap
 
     def take(self, job: Job) -> Dict[float, int]:
         """Consume the job's demand, smallest qualifying tier first.
@@ -148,7 +158,9 @@ class EasyBackfill:
         free_bb, free_tiers:
             Current free burst buffer (GB) and free node count per SSD tier.
         releases:
-            Planned releases of currently running jobs.
+            Planned releases of currently running jobs, sorted by
+            ``est_end`` with ties in start order (the engine's ledger);
+            the list is not modified.
         now:
             Current simulation time.
         """
@@ -157,33 +169,46 @@ class EasyBackfill:
 
         pool = _Pool(free_bb, free_tiers)
         started: List[Job] = []
-        releases = list(releases)
+        head_releases: List[PlannedRelease] = []
         idx = 0
         while idx < len(queue) and pool.fits(queue[idx]):
             job = queue[idx]
             taken = pool.take(job)
             started.append(job)
             # A started head is a future release for the shadow computation.
-            releases.append(PlannedRelease(
+            head_releases.append(PlannedRelease(
                 est_end=now + job.walltime, bb=job.bb, nodes_by_tier=taken,
             ))
             idx += 1
         if idx >= len(queue):
             return BackfillPlan(to_start=tuple(started), shadow_time=None)
+        if head_releases:
+            # Stable: a started head follows the running releases it ties with.
+            releases = sorted([*releases, *head_releases], key=by_est_end)
 
         head = queue[idx]
-        shadow, extra = self._reserve_head(head, pool, releases, now)
+        shadow, stop, reserved_bb = self._shadow_time(head, pool, releases, now)
+        # The extra pool is built from the pool as it stands now, on the
+        # first candidate that would run past the shadow time (under a
+        # third of the plans on the paper traces).
+        reserved_tiers = dict(pool.tiers)
+        extra: Optional[_Pool] = None
 
         for job in queue[idx + 1:]:
-            if not pool.fits(job):
+            # Most candidates fail on the totals alone; ``fits`` then
+            # settles the SSD tiers.
+            if job.bb > pool.bb or job.nodes > pool._nodes or not pool.fits(job):
                 continue
-            est_end = now + job.walltime
-            if shadow is None or est_end <= shadow:
+            if shadow is None or now + job.walltime <= shadow:
                 # Ends before the head needs its resources (or head can
                 # never fit, so nothing to protect): safe to start.
                 pool.take(job)
                 started.append(job)
-            elif extra is not None and extra.fits(job):
+                continue
+            if extra is None:
+                extra = self._extra_pool(head, reserved_tiers, reserved_bb,
+                                         releases[:stop])
+            if extra.fits(job):
                 # Runs past the shadow time but inside the spare capacity
                 # left after the head's reservation.
                 pool.take(job)
@@ -192,31 +217,54 @@ class EasyBackfill:
         return BackfillPlan(to_start=tuple(started), shadow_time=shadow)
 
     @staticmethod
-    def _reserve_head(
+    def _shadow_time(
         head: Job,
         pool: _Pool,
         releases: Sequence[PlannedRelease],
         now: float,
-    ) -> Tuple[Optional[float], Optional[_Pool]]:
-        """Shadow time and the extra pool left once the head is reserved.
+    ) -> Tuple[Optional[float], int, float]:
+        """``(shadow, k, bb)``: the head fits at ``shadow``, once the first
+        ``k`` releases have freed their resources, with ``bb`` burst
+        buffer free by then.
 
-        Walks planned releases in estimated-end order, accumulating freed
-        resources into a copy of the current pool until the head fits.
-        Returns ``(None, None)`` when the head cannot fit even after every
-        release (it exceeds total capacity — a trace error upstream, but we
-        degrade to plain "fits now" backfilling rather than crash).
+        Walks the sorted releases keeping only the two numbers the head's
+        fit depends on: the free burst buffer, folded left from
+        ``pool.bb`` in release order exactly as adding each release to a
+        pool would, and the free nodes whose SSD tier meets the head's
+        request.  The shadow is ``None`` when the head cannot fit even
+        after every release (it exceeds total capacity — a trace error
+        upstream, but we degrade to plain "fits now" backfilling rather
+        than crash).
         """
-        future = pool.copy()
-        if future.fits(head):
-            future.take(head)
-            return now, future
-        # Not vectorized on purpose: the walk usually exits within a few
-        # releases (profiled: median release list ~30 long, early exit far
-        # sooner), so an O(n) prefix-sum array build loses to the O(k) walk.
-        for release in sorted(releases, key=attrgetter("est_end")):
-            est = max(release.est_end, now + _OVERRUN_EPSILON)
-            future.add(release)
-            if future.fits(head):
-                future.take(head)
-                return est, future
-        return None, None
+        bb, nodes, ssd = head.bb, head.nodes, head.ssd
+        free_bb = pool.bb
+        qualifying = pool.qualifying(ssd)
+        if bb <= free_bb and qualifying >= nodes:
+            return now, 0, free_bb
+        for k, release in enumerate(releases, start=1):
+            free_bb += release.bb
+            if ssd <= release.min_cap:
+                qualifying += release.nodes
+            else:
+                qualifying += sum(
+                    n for cap, n in release.nodes_by_tier.items() if cap >= ssd
+                )
+            if bb <= free_bb and qualifying >= nodes:
+                return max(release.est_end, now + _OVERRUN_EPSILON), k, free_bb
+        return None, 0, free_bb
+
+    @staticmethod
+    def _extra_pool(
+        head: Job,
+        tiers: Dict[float, int],
+        free_bb: float,
+        releases: Sequence[PlannedRelease],
+    ) -> _Pool:
+        """The pool ``tiers`` plus ``releases``, with ``free_bb`` burst
+        buffer, less the head's reservation (``tiers`` is added into)."""
+        for release in releases:
+            for cap, n in release.nodes_by_tier.items():
+                tiers[cap] = tiers.get(cap, 0) + n
+        extra = _Pool(free_bb, tiers)
+        extra.take(head)
+        return extra

@@ -65,7 +65,7 @@ from .checkpoint import CheckpointConfig
 from .errors import ReproError, SimulationInterrupted, TaskError
 from .experiments import report
 from .methods import METHODS_SECTION4
-from .resilience import SCENARIOS, FaultScenario, RetryPolicy, get_scenario
+from .resilience import SCENARIOS, FaultScenario, get_scenario
 from .solvers import available_window_solvers, solver_matrix
 from .telemetry import (
     Tracer,
@@ -249,7 +249,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     custom = _custom_scenario(args)
     if custom is not None:
         scale = dataclasses.replace(scale, faults=custom)
-    retry = RetryPolicy(max_attempts=args.max_attempts) if args.max_attempts is not None else None
     checkpoint = None
     if args.checkpoint:
         checkpoint = CheckpointConfig(
@@ -257,7 +256,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             handle_signals=True,
         )
     spec = exp.RunSpec.create(args.workload, args.method, scale, seed=args.seed,
-                              solver=args.solver)
+                              solver=args.solver, max_attempts=args.max_attempts)
     tracer = Tracer()
     sigterm_fired: list = []
     signal_scope = (nullcontext() if checkpoint is not None
@@ -267,7 +266,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                          scale=scale.name) as sim_span:
             try:
                 with signal_scope:
-                    result = exp.run_spec(spec, retry=retry, checkpoint=checkpoint,
+                    result = exp.run_spec(spec, checkpoint=checkpoint,
                                           resume_from=args.resume_from,
                                           yardstick=args.yardstick)
             except SimulationInterrupted as exc:

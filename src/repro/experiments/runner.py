@@ -153,6 +153,7 @@ def run_one(
                 trace.name, method, sc, seed=ga_seed, solver=solver, window=window,
                 generations=generations, faults=scenario, watchdog_budget=budget,
                 telemetry=collect_telemetry,
+                max_attempts=retry.max_attempts if retry is not None else None,
             ).digest()
         if budget is not None:
             selector = SolverWatchdog(selector, budget)

@@ -47,8 +47,12 @@ class RunSpec:
 
     ``scale`` is the name of a registered scale: the trace, the GA's
     population and mutation rate and the measurement trims come from it.
-    Knobs that do not change a run's identity (a retry policy, the
-    yardstick, checkpointing) are not part of the spec.
+    ``max_attempts`` is the retry budget of fault-killed jobs
+    (``simulate --max-attempts``); ``None`` is the default
+    :class:`~repro.resilience.RetryPolicy`, and only a set budget enters
+    the canonical JSON, so specs that leave it unset keep their digests.
+    Knobs that do not change a run's outcome (the yardstick,
+    checkpointing) are not part of the spec.
     """
 
     workload: str
@@ -61,6 +65,7 @@ class RunSpec:
     faults: Optional[FaultScenario]
     watchdog_budget: Optional[float]
     telemetry: bool
+    max_attempts: Optional[int] = None
 
     @classmethod
     def create(
@@ -76,6 +81,7 @@ class RunSpec:
         faults: Optional[FaultScenario] = None,
         watchdog_budget: Optional[float] = None,
         telemetry: bool = False,
+        max_attempts: Optional[int] = None,
     ) -> "RunSpec":
         """The spec of one run, with ``None`` resolved against ``scale``
         (a :class:`Scale`, a scale name, or ``None`` for ``REPRO_SCALE``)."""
@@ -92,12 +98,16 @@ class RunSpec:
             faults=faults if faults is not None else sc.faults,
             watchdog_budget=float(budget) if budget is not None else None,
             telemetry=bool(telemetry),
+            max_attempts=int(max_attempts) if max_attempts is not None else None,
         )
 
     def as_dict(self) -> Dict[str, Any]:
         """The spec as JSON-safe values; fault knobs typed by their field,
-        so ``node_mtbf=3600`` and ``3600.0`` are one scenario."""
+        so ``node_mtbf=3600`` and ``3600.0`` are one scenario; an unset
+        ``max_attempts`` is left out."""
         out = dataclasses.asdict(self)
+        if self.max_attempts is None:
+            del out["max_attempts"]
         if self.faults is not None:
             out["faults"] = {
                 f.name: (int if f.type in (int, "int") else float)(getattr(self.faults, f.name))

@@ -22,10 +22,12 @@ its resources free up.
 from __future__ import annotations
 
 import time as _time
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from ..backfill import EasyBackfill, PlannedRelease
+from ..backfill.easy import by_est_end
 from ..errors import SchedulingError, TraceError
 from ..policies.base import PriorityPolicy
 from ..telemetry import NULL_TRACER, MetricsRegistry, get_tracer
@@ -165,12 +167,13 @@ class SchedulingEngine:
     Python tuple sort (only the front a pass reads when every queued job
     is eligible and backfill is window-scoped; cached for
     time-independent policies such as FCFS until queue membership
-    changes), keeps the backfiller's planned-release list incrementally
-    instead of rebuilding it every pass, and gates window feasibility
-    from the table's columns.  Every shortcut is *byte-identical* to the
-    plain reference engine kept as a test oracle (``tests/oracles.py``)
-    — same job outcomes, same fingerprints — which the differential
-    tests assert across all §4 methods.
+    changes), keeps the backfiller's planned releases as a ledger sorted
+    by estimated end instead of rebuilding and sorting them every pass,
+    and gates window feasibility from the table's columns.  Every
+    shortcut is *byte-identical* to the plain reference engine kept as a
+    test oracle (``tests/oracles.py``) — same job outcomes, same
+    fingerprints — which the differential tests assert across all §4
+    methods.
     """
 
     def __init__(
@@ -265,6 +268,9 @@ class SchedulingEngine:
         self._order_rev = -1
         #: jid → PlannedRelease, maintained in lock-step with ``_running``
         self._release_map: Dict[int, PlannedRelease] = {}
+        #: the same releases sorted by est_end, ties in start order: the
+        #: order the backfill planner walks them in (derived, not pickled)
+        self._ledger: List[PlannedRelease] = []
         #: True when window.eligible() is provably the identity for this run
         self._eligible_passthrough = False
         #: True when the policy overrides priority_array (pure vectorized scores)
@@ -282,6 +288,8 @@ class SchedulingEngine:
     # The priority-order cache is likewise dropped: it is a pure function
     # of (_queue, _queue_rev) and the first pass after a resume rebuilds
     # it bit-identically, so pickling it only bloats every periodic save.
+    # So is the release ledger: it is the stable est_end sort of
+    # _release_map, whose insertion order is start order.
     # Snapshots of the retired table-less reference engine carry no
     # job table; it is built from the jobs' current states on load.
     def __getstate__(self) -> Dict:
@@ -289,6 +297,7 @@ class SchedulingEngine:
         state["_tracer"] = None
         state["_order_cache"] = None
         state["_order_rev"] = -1
+        del state["_ledger"]
         return state
 
     def __setstate__(self, state: Dict) -> None:
@@ -299,6 +308,7 @@ class SchedulingEngine:
             self._queue = {job.jid: job for job in self._queue}
         if self._table is None and self._jobs is not None:
             self._index_jobs(self._jobs)
+        self._ledger = sorted(self._release_map.values(), key=by_est_end)
 
     # --- run-state introspection (checkpoint manifests, progress displays) --------
     @property
@@ -469,7 +479,7 @@ class SchedulingEngine:
             self.cluster.release(job)
             job.mark_completed(event.time)
             del self._running[job.jid]
-            self._release_map.pop(job.jid, None)
+            self._drop_release(job.jid)
             self._end_tokens.pop(job.jid, None)
             self._completed.add(job.jid)
             self._terminal += 1
@@ -562,14 +572,28 @@ class SchedulingEngine:
         # The job's planned release is fixed at start (walltime estimate and
         # tier assignment never change while it runs), so it is recorded once
         # here instead of being rebuilt from _running every backfill pass.
-        # Insertions/deletions mirror _running exactly, so iteration order —
-        # and therefore the backfill plan — matches a rebuild from _running.
-        self._release_map[job.jid] = PlannedRelease(
+        # Starts happen in time order, so inserting after every equal est_end
+        # keeps ties in start order: the ledger stays the stable sort of a
+        # rebuild from _running.
+        release = PlannedRelease(
             est_end=now + job.walltime,
             bb=job.bb,
             nodes_by_tier=self.cluster.nodes_by_tier(job),
         )
+        self._release_map[job.jid] = release
+        insort(self._ledger, release, key=by_est_end)
         self._sync_state(job)
+
+    def _drop_release(self, jid: int) -> None:
+        """Forget a job's planned release when it ends or is killed."""
+        release = self._release_map.pop(jid, None)
+        if release is None:
+            return
+        ledger = self._ledger
+        i = bisect_left(ledger, release.est_end, key=by_est_end)
+        while ledger[i] is not release:
+            i += 1
+        del ledger[i]
 
     def _sync_state(self, job: Job) -> None:
         """Mirror a lifecycle transition into the job table's state column."""
@@ -630,7 +654,7 @@ class SchedulingEngine:
         self._ssd_waste -= self.cluster.allocated_waste(job)
         self.cluster.release(job)
         del self._running[job.jid]
-        self._release_map.pop(job.jid, None)
+        self._drop_release(job.jid)
         self._ssd_used -= job.ssd * job.nodes
         token = self._end_tokens.pop(job.jid, None)
         if token is not None:
@@ -689,9 +713,9 @@ class SchedulingEngine:
         self._g_queue_depth.set(depth, now)
 
     def _planned_releases(self) -> List[PlannedRelease]:
-        # Maintained incrementally at _start/_kill/JOB_END in the same
-        # insertion order as _running; identical to a rebuild from it.
-        return list(self._release_map.values())
+        # Maintained at _start/_kill/JOB_END; the planner reads it without
+        # copying or sorting it.
+        return self._ledger
 
     def _ordered_queue(self, now: float, k: Optional[int] = None) -> List[Job]:
         """Priority-ordered queue — at least its first ``k`` jobs when

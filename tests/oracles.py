@@ -13,7 +13,11 @@ them, so no pinned golden value has to stand in for a live reference.
   shortcuts (:class:`repro.simulator.engine.SchedulingEngine`): a
   peek/pop event loop, a full tuple-sort ordering every pass, planned
   releases rebuilt from the running jobs, and the eligibility filter run
-  on every pass.
+  on every pass.  It plans backfill with :class:`ReferenceBackfill`.
+* :class:`ReferenceBackfill` stands for the EASY planner
+  (:class:`repro.backfill.EasyBackfill`): it takes the releases in any
+  order, sorts a copy every pass, and finds the shadow time by adding
+  each release to a pool and testing the head against it.
 * :class:`ReferenceStepSeries` stands for the recorder's numpy step
   series (:class:`repro.simulator.recorder.StepSeries`): plain lists and
   a ``math.fsum`` integral.
@@ -26,12 +30,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from contextlib import ExitStack, contextmanager
+from operator import attrgetter
 from typing import Iterator, List, Optional, Tuple
 from unittest.mock import patch
 
 import numpy as np
 
-from repro.backfill import PlannedRelease
+from repro.backfill import BackfillPlan, EasyBackfill, PlannedRelease
+from repro.backfill.easy import _OVERRUN_EPSILON, _Pool
 from repro.core.ga import MOGASolver, ParetoSet, crowding_distance
 from repro.core.pareto import non_dominated_mask, unique_front
 from repro.core.problem import MOOProblem
@@ -226,6 +232,73 @@ def _solve_cached_by_reference(solver, problem, rng, tracer, cache):
     return _solve_reference(solver, problem, rng, tracer)
 
 
+# --- backfill: sort, add and test per release ---------------------------------
+
+
+class _GrowingPool(_Pool):
+    """The planning pool with the running jobs' releases added one by one."""
+
+    def copy(self) -> "_GrowingPool":
+        return _GrowingPool(self.bb, self.tiers)
+
+    def add(self, release: PlannedRelease) -> None:
+        self.bb += release.bb
+        tiers = self.tiers
+        for cap, n in release.nodes_by_tier.items():
+            tiers[cap] = tiers.get(cap, 0) + n
+            self._nodes += n
+            if cap < self._min_cap:
+                self._min_cap = cap
+
+
+class ReferenceBackfill:
+    """EASY planning over releases in any order: the plain shadow-time walk."""
+
+    def plan(self, queue, free_bb, free_tiers, releases, now) -> BackfillPlan:
+        if not queue:
+            return BackfillPlan(to_start=(), shadow_time=None)
+        pool = _GrowingPool(free_bb, free_tiers)
+        started: List[Job] = []
+        releases = list(releases)
+        idx = 0
+        while idx < len(queue) and pool.fits(queue[idx]):
+            job = queue[idx]
+            taken = pool.take(job)
+            started.append(job)
+            releases.append(PlannedRelease(
+                est_end=now + job.walltime, bb=job.bb, nodes_by_tier=taken,
+            ))
+            idx += 1
+        if idx >= len(queue):
+            return BackfillPlan(to_start=tuple(started), shadow_time=None)
+        shadow, extra = self._reserve_head(queue[idx], pool, releases, now)
+        for job in queue[idx + 1:]:
+            if not pool.fits(job):
+                continue
+            if shadow is None or now + job.walltime <= shadow:
+                pool.take(job)
+                started.append(job)
+            elif extra is not None and extra.fits(job):
+                pool.take(job)
+                extra.take(job)
+                started.append(job)
+        return BackfillPlan(to_start=tuple(started), shadow_time=shadow)
+
+    @staticmethod
+    def _reserve_head(head, pool, releases, now):
+        future = pool.copy()
+        if future.fits(head):
+            future.take(head)
+            return now, future
+        for release in sorted(releases, key=attrgetter("est_end")):
+            est = max(release.est_end, now + _OVERRUN_EPSILON)
+            future.add(release)
+            if future.fits(head):
+                future.take(head)
+                return est, future
+        return None, None
+
+
 # --- engine: no job-table shortcuts ---------------------------------------------
 
 
@@ -241,15 +314,19 @@ class ReferenceEngine(SchedulingEngine):
 
     Every pass orders the whole queue with the policy's tuple sort,
     filters it for eligibility, and rebuilds the backfiller's planned
-    releases from the running jobs; events pop through
-    :class:`PeekPopEventQueue`.  Window feasibility is gated from the job
-    table's columns as in production (``Available.fits_cols``, which
-    ``tests/test_cluster.py`` pins to per-job ``fits``).
+    releases from the running jobs, unsorted, for
+    :class:`ReferenceBackfill` (which replaces an :class:`EasyBackfill`
+    planner); events pop through :class:`PeekPopEventQueue`.  Window
+    feasibility is gated from the job table's columns as in production
+    (``Available.fits_cols``, which ``tests/test_cluster.py`` pins to
+    per-job ``fits``).
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._events = PeekPopEventQueue()
+        if isinstance(self.backfill, EasyBackfill):
+            self.backfill = ReferenceBackfill()
 
     def _run_loop(self, checkpointer=None):
         self._eligible_passthrough = False

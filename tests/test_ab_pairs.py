@@ -120,3 +120,82 @@ class TestOperationCounts:
         runs = {"base": [_run(44.0, 6)] * 3, "change": [_run(44.1, 6)] * 3}
         lines = ab.report(runs, SPEC)
         assert len(lines) == 2 and not any(line.startswith("pair ") for line in lines)
+
+
+BENCH = ab.load_benchmark(str(REPO))
+
+
+def _stub_perfbench(monkeypatch, notes, metrics, seen=None):
+    """Make ``subprocess.run`` answer like perfbench with these notes."""
+    lines = ["notes " + json.dumps(notes), "env {}",
+             json.dumps({"correct": True, "attempted": 4, "failed": 0,
+                         "metrics": {n: {"value": v, "unit": ""} for n, v in metrics.items()}})]
+
+    def fake(cmd, **kwargs):
+        if seen is not None:
+            seen.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout="\n".join(lines) + "\n", stderr="")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake)
+
+
+TRACED = {"run_wall_s": 4.8, "backfill.plan_s": 2.0, "windows.extract_s": 0.5,
+          "simulator.schedule_pass.count": 61776.0, "backfill.started_per_plan": 0.25,
+          "parallel.busy_frac": 0.9, "telemetry.overhead_frac": 0.17}
+
+
+class TestTracedMode:
+    def test_layer_seconds_are_the_per_layer_seconds_metrics(self):
+        names = ab.layer_seconds(BENCH)
+        assert {"backfill.plan_s", "windows.extract_s", "service.queue_wait_s"} <= names
+        assert not names & {"run_wall_s", "latency_p50_s", "setup_s",
+                            "simulator.schedule_pass.count", "backfill.started_per_plan",
+                            "telemetry.overhead_frac"}
+
+    def test_only_layer_seconds_are_scaled(self):
+        scaled = ab.scale_layers(TRACED, 0.8, ab.layer_seconds(BENCH))
+        assert scaled["backfill.plan_s"] == pytest.approx(1.6)
+        assert scaled["windows.extract_s"] == pytest.approx(0.4)
+        for name in ("run_wall_s", "simulator.schedule_pass.count",
+                     "backfill.started_per_plan", "parallel.busy_frac",
+                     "telemetry.overhead_frac"):
+            assert scaled[name] == TRACED[name]
+
+    def test_no_host_speed_leaves_every_metric(self):
+        assert ab.scale_layers(TRACED, None, ab.layer_seconds(BENCH)) == TRACED
+
+    def test_traced_run_is_scaled_by_its_notes(self, monkeypatch):
+        seen = []
+        _stub_perfbench(monkeypatch, {"host_speed": 1.25, "grids": 2}, TRACED, seen)
+        metrics, attempted = ab.run_once("/nowhere", "grid-greedy", 1.0, True,
+                                         ab.layer_seconds(BENCH))
+        assert seen[0][-2:] == ["--trace", "1"] and attempted == 4
+        assert metrics["backfill.plan_s"] == pytest.approx(2.5)
+        assert metrics["run_wall_s"] == 4.8
+
+    def test_service_burst_stays_unscaled(self, monkeypatch):
+        # Its notes carry no host speed: the service has no gauge.
+        layers = {"service.queue_wait_s": 0.3, "service.daemon.retries": 1.0}
+        _stub_perfbench(monkeypatch, {"bursts": 3, "requests": 96}, layers)
+        metrics, _ = ab.run_once("/nowhere", "service-burst", 1.0, True,
+                                 ab.layer_seconds(BENCH))
+        assert metrics == layers
+
+    def test_untraced_run_scales_nothing(self, monkeypatch):
+        seen = []
+        _stub_perfbench(monkeypatch, {"host_speed": 1.25}, {"run_wall_s": 4.8}, seen)
+        assert ab.run_once("/nowhere", "grid-greedy", 1.0) == ({"run_wall_s": 4.8}, 4)
+        assert seen[0][-2:] == ["--trace", "0"]
+
+    def test_overhead_printed_beside_the_table(self):
+        runs = {"base": [(dict(TRACED, **{"telemetry.overhead_frac": f}), 4)
+                         for f in (0.15, 0.17, 0.19)],
+                "change": [(dict(TRACED, **{"telemetry.overhead_frac": f}), 4)
+                           for f in (0.20, 0.22, 0.30)]}
+        lines = ab.report(runs, ab.directions(BENCH))
+        assert lines[-1] == ("tracing overhead (telemetry.overhead_frac, median): "
+                             "base 0.17, change 0.22; the layer seconds include it")
+
+    def test_untraced_report_has_no_overhead_line(self):
+        runs = {"base": [_run(44.0, 6)] * 3, "change": [_run(44.1, 6)] * 3}
+        assert not any("overhead" in line for line in ab.report(runs, SPEC))

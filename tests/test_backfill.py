@@ -1,5 +1,7 @@
 """EASY backfilling: shadow-time reservation across multiple resources."""
 
+import pickle
+
 import pytest
 
 from repro.backfill import EasyBackfill, PlannedRelease
@@ -143,3 +145,23 @@ class TestBackfillDecisions:
             [head, first, second], 0.0, {0.0: 5}, [release(100.0, 10)], now=0.0
         )
         assert [j.jid for j in plan.to_start] == [2]
+
+
+class TestPlannedRelease:
+    def test_totals_are_derived_once(self):
+        r = PlannedRelease(est_end=5.0, bb=1.5, nodes_by_tier={256.0: 2, 128.0: 3})
+        assert (r.nodes, r.min_cap) == (5, 128.0)
+        empty = PlannedRelease(est_end=5.0, bb=0.0, nodes_by_tier={})
+        assert empty.nodes == 0 and empty.min_cap == float("inf")
+
+    def test_pickled_state_is_the_three_fields(self):
+        # Checkpoints pickle the engine's releases: their state stays what a
+        # release without derived totals pickled, so older snapshots load.
+        r = PlannedRelease(est_end=5.0, bb=1.5, nodes_by_tier={128.0: 3})
+        state = {"est_end": 5.0, "bb": 1.5, "nodes_by_tier": {128.0: 3}}
+        assert r.__reduce_ex__(2)[2] == state
+        old = PlannedRelease.__new__(PlannedRelease)
+        old.__setstate__(state)
+        assert old == r and (old.nodes, old.min_cap) == (3, 128.0)
+        restored = pickle.loads(pickle.dumps(r))
+        assert restored == r and restored.nodes == 3

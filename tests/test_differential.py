@@ -12,11 +12,14 @@ at every level:
   every §4 method under both site policies, and runs that pass through a
   checkpoint/resume cycle;
 * the array-backed engine (vectorized queue ordering, the FCFS order
-  cache, incremental planned releases, batch event pops; vs
+  cache, the sorted release ledger, batch event pops; vs
   :class:`~tests.oracles.ReferenceEngine`) — full-run fingerprints for
   every §4 method, the ordering permutation itself under score ties, the
   exact front a pass orders, and whole runs on backlogs many times the
-  window deep.
+  window deep;
+* the EASY planner's scalar shadow-time walk over that ledger (vs
+  :class:`~tests.oracles.ReferenceBackfill`) — plan by plan on seeded
+  random inputs.
 
 Any divergence — an RNG draw consumed differently, a float assembled
 from a different batch shape, a sort tie broken differently — shows up
@@ -25,11 +28,13 @@ here as a hard failure.
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.backfill import EasyBackfill
+from repro.backfill import EasyBackfill, PlannedRelease
+from repro.backfill.easy import by_est_end
 from repro.checkpoint.verify import fingerprint_digest, verify_resume
 from repro.core import evalcache
 from repro.core.ga import MOGASolver
@@ -49,7 +54,12 @@ from repro.simulator.job import Job
 from repro.simulator.jobtable import JobTable
 from repro.telemetry import Tracer, use_tracer
 from repro.windows import DynamicWindowPolicy, WindowPolicy
-from tests.oracles import ReferenceEngine, reference_paths, reference_solve
+from tests.oracles import (
+    ReferenceBackfill,
+    ReferenceEngine,
+    reference_paths,
+    reference_solve,
+)
 
 #: Deliberately tiny: 16 method×workload fingerprint pairs run per test
 #: session, each pair simulating the trace twice.  The name must stay a
@@ -448,6 +458,11 @@ class TestOracleWiring:
         assert counters["engine.order.cache_hits"] > 0
         assert counters.get("engine.order.fallback", 0) == 0
 
+    def test_reference_engine_plans_with_the_reference_backfill(self):
+        engine = ReferenceEngine(Cluster(nodes=8, bb_capacity=10.0), FCFS(),
+                                 make_selector("Baseline"), backfill=EasyBackfill())
+        assert isinstance(engine.backfill, ReferenceBackfill)
+
     def test_oracles_bypass_cache_and_table_order(self):
         counters = self._counters()
         assert counters.get("ga.eval_cache.misses", 0) == 0
@@ -578,6 +593,113 @@ class TestOrderPrefix:
             assert [j.jid for j in got] == full[:k], k
 
 
+#: SSD tiers (GB per node) of the single- and multi-tier planning pools.
+PLAN_TIERS = {"single": (0.0,), "multi": (64.0, 128.0, 256.0)}
+
+
+def _random_plan(rng, tiers):
+    """One seeded ``plan`` call: a queue, the free pool, the running jobs'
+    releases in start order, and ``now``.
+
+    Release ends come from a few values (ties) and some lie before
+    ``now`` (overruns).  Burst buffer is in tenths of a GB, so the
+    shadow time depends on the exact left fold of the releases; every
+    third call sets the blocked head's request to that fold at a random
+    release.  Queue heads small enough to start come first about half the
+    time, and some heads ask for more than the machine has.
+    """
+    now = 1000.0
+    tier_choice = np.asarray(tiers)
+    free_tiers = {float(c): int(rng.integers(0, 4)) for c in tiers
+                  if rng.random() < 0.8}
+    free_bb = float(rng.integers(0, 30)) / 10.0
+    ends = now + rng.choice([-50.0, 0.0, 100.0, 250.0, 400.0], size=4)
+    releases = []
+    for _ in range(int(rng.integers(0, 12))):
+        held = rng.choice(tier_choice, size=int(rng.integers(1, len(tiers) + 1)),
+                          replace=False)
+        releases.append(PlannedRelease(
+            est_end=float(rng.choice(ends)),
+            bb=float(rng.integers(0, 40)) / 10.0,
+            nodes_by_tier={float(c): int(rng.integers(1, 4)) for c in held},
+        ))
+    jid = iter(range(1, 100))
+
+    def job(nodes, bb, ssd):
+        walltime = float(rng.choice([50.0, 100.0, 250.0, 300.0, 900.0]))
+        return Job(jid=next(jid), submit_time=0.0, runtime=walltime,
+                   walltime=walltime, nodes=int(nodes), bb=float(bb), ssd=float(ssd))
+
+    def ssd():
+        return float(rng.choice(tier_choice)) if rng.random() < 0.7 else 0.0
+
+    queue = []
+    if rng.random() < 0.5:
+        queue += [job(1, 0.0, 0.0) for _ in range(int(rng.integers(1, 3)))]
+    head_nodes = int(rng.integers(1, 12))
+    head_bb = float(rng.integers(0, 60)) / 10.0
+    ordered = sorted(releases, key=by_est_end)
+    if ordered and rng.random() < 1 / 3:
+        # A request the fold reaches exactly at one release.
+        stop = int(rng.integers(0, len(ordered)))
+        head_bb = free_bb
+        for release in ordered[:stop + 1]:
+            head_bb += release.bb
+    if rng.random() < 0.1:
+        head_nodes = 99  # never fits
+    queue.append(job(head_nodes, head_bb, ssd()))
+    queue += [job(rng.integers(1, 6), rng.integers(0, 20) / 10.0, ssd())
+              for _ in range(int(rng.integers(0, 10)))]
+    return queue, free_bb, free_tiers, releases, now
+
+
+class TestPlanDifferential:
+    """``EasyBackfill.plan`` on the sorted ledger vs :class:`ReferenceBackfill`
+    on the same releases in start order, call by call."""
+
+    @pytest.mark.parametrize("tiers", sorted(PLAN_TIERS))
+    def test_matches_reference(self, tiers):
+        rng = np.random.default_rng(7 if tiers == "single" else 11)
+        seen = dict.fromkeys(("started_heads", "overrun", "tie", "unsatisfiable",
+                              "exact_bb", "extra"), 0)
+        for _ in range(3000):
+            queue, free_bb, free_tiers, releases, now = _random_plan(
+                rng, PLAN_TIERS[tiers])
+            ledger = sorted(releases, key=by_est_end)
+            fast = EasyBackfill().plan(queue, free_bb, free_tiers, ledger, now)
+            ref = ReferenceBackfill().plan(queue, free_bb, free_tiers, releases, now)
+            assert [j.jid for j in fast.to_start] == [j.jid for j in ref.to_start]
+            assert fast.shadow_time == ref.shadow_time
+            ends = [r.est_end for r in ledger]
+            head = next((j for j in queue if j not in fast.to_start), None)
+            seen["started_heads"] += (head is not None and bool(fast.to_start)
+                                      and fast.to_start[0] is queue[0])
+            seen["overrun"] += fast.shadow_time == now + 1e-6
+            seen["tie"] += len(set(ends)) < len(ends)
+            seen["unsatisfiable"] += head is not None and head.nodes == 99
+            fold = free_bb
+            for release in ledger:
+                if head is None or fast.shadow_time is None:
+                    break
+                fold += release.bb
+                seen["exact_bb"] += head.bb == fold
+            seen["extra"] += any(now + j.walltime > fast.shadow_time
+                                 for j in fast.to_start[1:]
+                                 if fast.shadow_time is not None)
+        assert min(seen.values()) >= 20, seen
+
+    def test_ledger_is_not_modified(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            queue, free_bb, free_tiers, releases, now = _random_plan(
+                rng, PLAN_TIERS["multi"])
+            ledger = sorted(releases, key=by_est_end)
+            before = list(ledger)
+            EasyBackfill().plan(queue, free_bb, free_tiers, ledger, now)
+            assert len(ledger) == len(before)
+            assert all(a is b for a, b in zip(ledger, before))
+
+
 class _SawtoothWindow(WindowPolicy):
     """Window size that *grows* as the queue shrinks past odd lengths —
     the front the engine orders must then be re-read for backfill."""
@@ -586,9 +708,14 @@ class _SawtoothWindow(WindowPolicy):
         return 3 if eligible_count % 2 == 0 else 12
 
 
-def _deep_backlog(seed, n=520, deps=False):
+def _deep_backlog(seed, n=520, deps=False, ties=False):
     """``n`` jobs arriving far faster than a 64-node machine drains them,
-    so the queue holds hundreds of jobs, many times the window."""
+    so the queue holds hundreds of jobs, many times the window.
+
+    ``ties`` rounds every walltime up to a multiple of 300 s, so jobs
+    started in one pass often share an estimated end (the release
+    ledger's tie order then decides the extra pool's contents).
+    """
     rng = np.random.default_rng(seed)
     jobs = []
     for i in range(n):
@@ -596,11 +723,15 @@ def _deep_backlog(seed, n=520, deps=False):
         dep = ()
         if deps and i > 10 and rng.random() < 0.2:
             dep = tuple(int(d) for d in rng.integers(1, i + 1, size=2))
+        submit = float(rng.integers(0, 400) * 10)
+        walltime = runtime * float(rng.choice([1.0, 1.5, 3.0]))
+        if ties:
+            walltime = 300.0 * math.ceil(walltime / 300.0)
         jobs.append(Job(
             jid=i + 1,
-            submit_time=float(rng.integers(0, 400) * 10),
+            submit_time=submit,
             runtime=runtime,
-            walltime=runtime * float(rng.choice([1.0, 1.5, 3.0])),
+            walltime=walltime,
             nodes=int(rng.integers(1, 33)),
             bb=float(rng.choice([0.0, 0.0, 10.0, 40.0])),
             deps=frozenset(dep),
@@ -656,16 +787,18 @@ class TestDeepQueueDifferential:
                                  nodes_per_failure=6, job_mtbf=500.0),
             retry=RetryPolicy(max_attempts=1, backoff=60.0)),
         "sawtooth-window-fcfs": dict(policy=FCFS, window=_SawtoothWindow),
+        "walltime-ties-fcfs": dict(policy=FCFS, window=lambda: DynamicWindowPolicy(),
+                                   ties=True),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_fast_matches_reference(self, case):
         spec = dict(self.CASES[case])
-        deps = spec.pop("deps", False)
+        deps, ties = spec.pop("deps", False), spec.pop("ties", False)
         policy, window = spec.pop("policy"), spec.pop("window")
         seed = sorted(self.CASES).index(case)
         runs = [
-            _simulate(_deep_backlog(seed, deps=deps), engine_cls, policy(),
+            _simulate(_deep_backlog(seed, deps=deps, ties=ties), engine_cls, policy(),
                       window(), **spec)
             for engine_cls in (SchedulingEngine, ReferenceEngine)
         ]
@@ -676,6 +809,66 @@ class TestDeepQueueDifferential:
             assert fast.stats.requeued_jobs > 0
         if case == "faults-deps-wfp":
             assert fast.stats.abandoned_jobs > 0
+
+
+class _LedgerCheck:
+    """A checkpointer stand-in that checks the engine's release ledger at
+    every batch boundary and pickles the engine once, at batch ``snap_at``."""
+
+    def __init__(self, snap_at):
+        self.batches = 0
+        self.ties = 0
+        self.snap_at = snap_at
+        self.blob = None
+        self.ledger_at_snap = None
+
+    def after_batch(self, engine):
+        self.batches += 1
+        ledger = engine._ledger
+        rebuilt = sorted(engine._release_map.values(), key=by_est_end)
+        assert len(ledger) == len(rebuilt) == len(engine._running)
+        assert all(a is b for a, b in zip(ledger, rebuilt))
+        self.ties += sum(a.est_end == b.est_end for a, b in zip(ledger, ledger[1:]))
+        # Snapshot where start order is not est_end order, so a resume
+        # that skipped the sort would show.
+        if (self.blob is None and self.snap_at is not None
+                and self.batches >= self.snap_at
+                and ledger != list(engine._release_map.values())):
+            self.blob = pickle.dumps(engine)
+            self.ledger_at_snap = list(ledger)
+
+
+class TestReleaseLedger:
+    """The engine's sorted release ledger is derived state: after every
+    pass it equals the stable ``est_end`` sort of ``_release_map``, and a
+    snapshot drops it and rebuilds it."""
+
+    FAULTS = FaultScenario(seed=8, node_mtbf=700.0, node_mttr=600.0,
+                           nodes_per_failure=6, job_mtbf=500.0)
+
+    def _run(self, check):
+        engine = SchedulingEngine(
+            Cluster(nodes=64, bb_capacity=200.0), WFP(), make_selector("Baseline"),
+            WindowPolicy(size=10), backfill=EasyBackfill(),
+            faults=FaultInjector(self.FAULTS),
+            retry=RetryPolicy(max_attempts=1, backoff=60.0),
+        )
+        return engine.run(_deep_backlog(5, deps=True, ties=True), checkpointer=check)
+
+    def test_ledger_tracks_kills_requeues_and_abandonment(self):
+        check = _LedgerCheck(snap_at=None)
+        stats = self._run(check).stats
+        assert check.batches > 1000 and check.ties > 100
+        assert stats.node_failures > 0 and stats.killed_jobs > stats.job_faults
+        assert stats.requeued_jobs > 0 and stats.abandoned_jobs > 0
+
+    def test_snapshot_drops_ledger_and_resumes_identically(self):
+        check = _LedgerCheck(snap_at=700)
+        uninterrupted = self._run(check)
+        restored = pickle.loads(check.blob)
+        assert restored._ledger == check.ledger_at_snap
+        assert "_ledger" not in restored.__getstate__()
+        assert _outcome(restored.continue_run()) == _outcome(uninterrupted)
 
 
 class TestResumeDifferential:

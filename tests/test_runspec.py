@@ -62,11 +62,19 @@ class TestRunSpec:
     @pytest.mark.parametrize("change", [
         {"seed": 7}, {"solver": "milp"}, {"window": 5}, {"generations": 3},
         {"faults": get_scenario("mild")}, {"watchdog_budget": 2.0},
-        {"telemetry": True},
+        {"telemetry": True}, {"max_attempts": 3},
     ])
     def test_every_field_moves_the_digest(self, change):
         base = RunSpec.create("Theta-S4", "BBSched", "smoke")
         assert RunSpec.create("Theta-S4", "BBSched", "smoke", **change).digest() != base.digest()
+
+    def test_unset_retry_budget_stays_out_of_the_json(self):
+        spec = RunSpec.create("Cori-S1", "Baseline", HARSH)
+        assert "max_attempts" not in spec.canonical_json()
+        budgeted = dataclasses.replace(spec, max_attempts=1)
+        assert '"max_attempts":1' in budgeted.canonical_json()
+        assert RunSpec.from_dict(budgeted.as_dict()) == budgeted
+        assert RunSpec.from_dict(spec.as_dict()) == spec
 
     def test_digest_is_sha256_of_the_canonical_json(self):
         import hashlib
@@ -233,3 +241,23 @@ class TestCheckpointMeta:
             grid_mod.run_spec(spec, checkpoint=config)
         meta = read_header(tmp_path / "r.ckpt")["manifest"]["meta"]
         assert meta["spec_sha256"] == spec.digest()
+
+    @staticmethod
+    def _simulate_digest(tmp_path, *extra):
+        from repro.cli import main
+
+        path = tmp_path / f"r{len(list(tmp_path.iterdir()))}.ckpt"
+        assert main(["simulate", "Theta-S4", "Baseline", "--scale", "smoke",
+                     "--faults", "harsh", "--checkpoint", str(path),
+                     "--checkpoint-every", "1", *extra]) == 0
+        return read_header(path)["manifest"]["meta"]["spec_sha256"]
+
+    def test_retry_budget_moves_the_checkpoint_digest(self, tmp_path, capsys):
+        one = self._simulate_digest(tmp_path, "--max-attempts", "1")
+        three = self._simulate_digest(tmp_path, "--max-attempts", "3")
+        assert one != three
+        # Left unset, the budget stays out of the spec and its digest.
+        unset = self._simulate_digest(tmp_path)
+        expected = RunSpec.create("Theta-S4", "Baseline", "smoke", seed=0,
+                                  faults=get_scenario("harsh"))
+        assert unset == expected.digest() and unset not in (one, three)

@@ -16,10 +16,20 @@ counts differ.  Run ten pairs or more: with five,
 every set whose differences share a sign (one in sixteen when there is
 no effect) yields an interval that misses zero.
 
+``--trace`` runs perfbench's ``--trace 1`` instead, which reports the
+per-layer metrics in place of the end-to-end ones.  A traced layer time
+is raw wall seconds, while the end-to-end times are scaled to a
+reference host speed, so each per-layer seconds metric is multiplied by
+its run's ``host_speed`` (the ``notes`` line).  Counts and
+ratios are left as they are, and so are runs that report no host speed
+(``service-burst`` has no gauge).  Beside the table it prints
+``telemetry.overhead_frac``, the share by which tracing slowed the
+traced operations: the layer times include it.
+
 Usage, from anywhere inside the checkout::
 
     python tools/ab_pairs.py --base HEAD~1 --workload theta-bbsched \\
-        [--pairs 10]
+        [--pairs 10] [--trace]
 
 Metric directions ("lower" or "higher" is better) come from the
 checkout's ``BENCHMARK.json``.  A run that exits non-zero or reports
@@ -35,7 +45,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,14 +120,31 @@ def directions(bench: dict) -> Dict[str, Tuple[str, str]]:
             for m in bench["end_to_end"] + bench["per_layer"]}
 
 
+def layer_seconds(bench: dict) -> FrozenSet[str]:
+    """The per-layer metrics a traced run reports in raw wall seconds."""
+    return frozenset(m["name"] for m in bench["per_layer"] if m["unit"] == "s")
+
+
+def scale_layers(metrics: Dict[str, float], host_speed: Optional[float],
+                 names: Collection[str]) -> Dict[str, float]:
+    """``metrics`` with each of ``names`` multiplied by ``host_speed``
+    (seconds at the reference host speed); unchanged without a speed."""
+    if host_speed is None:
+        return dict(metrics)
+    return {name: value * host_speed if name in names else value
+            for name, value in metrics.items()}
+
+
 Run = Tuple[Dict[str, float], int]
 
 
-def run_once(root: str, workload: str, seconds: float) -> Run:
-    """One perfbench run in ``root``: its metrics by name, and the number of
-    operations it attempted."""
+def run_once(root: str, workload: str, seconds: float, trace: bool = False,
+             scaled: Collection[str] = ()) -> Run:
+    """One perfbench run in ``root``: its metrics by name, the ``scaled``
+    ones multiplied by the run's host speed, and the number of operations
+    it attempted."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", "0", "--seconds", str(seconds), "--trace", "0"]
+           "--seed", "0", "--seconds", str(seconds), "--trace", "1" if trace else "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result: Optional[dict] = None
@@ -129,13 +156,17 @@ def run_once(root: str, workload: str, seconds: float) -> Run:
     if proc.returncode != 0 or result is None or not result.get("correct"):
         sys.stderr.write(proc.stderr[-2000:])
         raise SystemExit(f"error: perfbench failed in {root} (exit {proc.returncode})")
-    return ({name: m["value"] for name, m in result["metrics"].items()},
+    notes = next((json.loads(line[len("notes "):]) for line in lines
+                  if line.startswith("notes ")), {})
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return (scale_layers(metrics, notes.get("host_speed"), scaled),
             int(result["attempted"]))
 
 
 def report(runs: Dict[str, List[Run]], spec: Dict[str, Tuple[str, str]]) -> List[str]:
-    """One table row per metric both sides report, then one line per pair
-    whose sides attempted different numbers of operations."""
+    """One table row per metric both sides report, the tracing overhead
+    when the runs were traced, then one line per pair whose sides
+    attempted different numbers of operations."""
     metrics = {side: [m for m, _ in runs[side]] for side in ("base", "change")}
     ops = {side: [n for _, n in runs[side]] for side in ("base", "change")}
     lines = []
@@ -148,6 +179,12 @@ def report(runs: Dict[str, List[Run]], spec: Dict[str, Tuple[str, str]]) -> List
             row += (f"  (median operations: base {np.median(ops['base']):g}, "
                     f"change {np.median(ops['change']):g})")
         lines.append(row)
+    overhead = "telemetry.overhead_frac"
+    if all(overhead in r for side in metrics.values() for r in side):
+        lines.append(f"tracing overhead ({overhead}, median): base "
+                     f"{np.median([r[overhead] for r in metrics['base']]):.3g}, change "
+                     f"{np.median([r[overhead] for r in metrics['change']]):.3g}; "
+                     "the layer seconds include it")
     for i, (b, c) in enumerate(zip(ops["base"], ops["change"]), start=1):
         if b != c:
             lines.append(f"pair {i}: operations differ (base {b}, change {c})")
@@ -167,6 +204,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--trace", action="store_true",
+                        help="run perfbench --trace 1 and scale the per-layer "
+                             "seconds by each run's host speed")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -174,13 +214,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     tmp = tempfile.mkdtemp(prefix="ab_pairs_")
     tree = os.path.join(tmp, "base")
     runs: Dict[str, List[Run]] = {"base": [], "change": []}
+    scaled = layer_seconds(bench) if args.trace else frozenset()
     try:
         git("worktree", "add", "--detach", tree, sha)
         roots = {"base": tree, "change": ROOT}
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                runs[side].append(run_once(roots[side], args.workload, seconds))
+                runs[side].append(run_once(roots[side], args.workload, seconds,
+                                           args.trace, scaled))
             print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)",
                   file=sys.stderr, flush=True)
     finally:
@@ -189,7 +231,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         subprocess.run(["git", "-C", ROOT, "worktree", "prune"], capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
     print(f"{args.workload}: base {sha[:12]} vs this checkout, {args.pairs} alternating "
-          f"pairs, --seconds {seconds:g}")
+          f"pairs, --seconds {seconds:g}"
+          + (", --trace 1, layer seconds x host_speed" if args.trace else ""))
     print(f"{'metric':34s} {'unit':6s} {'base':>10s} {'IQR':22s} {'change':>10s} "
           f"{'IQR':22s} {'won':5s} effect (95% CI)")
     print("\n".join(report(runs, directions(bench))))
