@@ -41,7 +41,7 @@ from repro.core.ga import MOGASolver
 from repro.core.problem import SelectionProblem, SSDSelectionProblem
 from repro.core.scalar import ScalarGASolver
 from repro.errors import SolverError
-from repro.experiments import get_scale, get_workload
+from repro.experiments import get_scale, get_ssd_workloads, get_workload
 from repro.experiments.runner import run_one
 from repro.methods import make_selector
 from repro.methods.registry import METHODS_SECTION4
@@ -422,6 +422,96 @@ class TestRunDifferential:
         """The scalarised GA methods, whose survivor choice TINY never reaches."""
         on, off = _digests("Cori-S1", method, CONTENDED, engine=False)
         assert on == off
+
+
+#: Golden fingerprint digests of the solver-backed methods.  The run
+#: differentials above compare two paths through the same selector
+#: classes, so a change to a method's formulation (its coefficients, its
+#: problem, its solver construction) passes them unseen; these pins do
+#: not.  Keyed by (workload, method); CONTENDED for Cori-S1, smoke for
+#: the §5 SSD workloads.
+GOLDEN_DIGESTS = {
+    ("Cori-S1", "Weighted"):
+        "292207be66cf4ef44bb8857a48b3784eef0782b0094cf243ec15b34954e01603",
+    ("Cori-S1", "Weighted_BB"):
+        "28186c206e99293f597b85f61561806fd48e480783016081499e70671c24d700",
+    ("Cori-S1", "Weighted_CPU"):
+        "8e05b22918865d70ac22fdd993268593216a4d44134dd49b862d68c966439692",
+    ("Cori-S1", "Constrained_BB"):
+        "c3fbb519642d18c420c98489f71aefef33634894253966c617801dd13b3e846f",
+    ("Cori-S1", "Constrained_CPU"):
+        "f953d12041fbf8b4a8c577f465ba12a02d7f6bdfb9cd04f685c92794e19ca8a8",
+    ("Cori-S1", "BBSched"):
+        "16b972a2c876b2a7e13f5411df2caa426ed089022396c6c9cb4c3e63e879133a",
+    ("Cori-S5", "Weighted"):
+        "9e92290dadb43b24619f5d47fdf69126e812922a60669fa9461d66f4bad1d60f",
+    ("Cori-S5", "Constrained_CPU"):
+        "860a107fbf241607ecdda726f5bcdf4d1a3434ef0f0d157f1da119215dd6b8b3",
+    ("Cori-S5", "Constrained_BB"):
+        "02f10319f09a3c30846fce14115b8ba8b57cb08e95bea73e26007310593ceba0",
+    ("Cori-S5", "Constrained_SSD"):
+        "3f7cca7b8ba3fa9641b70ff68fa953aa1d1a18ec49d11352cd4d7b3f7bb9a9c7",
+    ("Cori-S5", "BBSched"):
+        "570da8344719f9e2479434835b3f99cfa4283639edaa22acb8d28b0ba8066a7a",
+    ("Theta-S6", "Weighted"):
+        "bcd023cb6ebd07d03268c3ce7841c5534bcf0021ab57d28ed30256a4d6e917d4",
+    ("Theta-S6", "Constrained_CPU"):
+        "5d6df66ece719253a1e316d84ebc96513e9d17d819f1d2779bfe1583e51aa1fb",
+    ("Theta-S6", "Constrained_BB"):
+        "ce77fc2663fbae8a53403f2d1f7c467befe5656c91762ba4745c492bfc651786",
+    ("Theta-S6", "Constrained_SSD"):
+        "eec1e4c1aba275dabe855b05bf816f4113819edad26b3e30e273755beb369964",
+    ("Theta-S6", "BBSched"):
+        "d45e87b29f40fe6fb4efe2b77fea9e5839ca2aa20927d42cbca72152b68f7a7d",
+}
+
+
+def _golden_run(workload, method, **kw):
+    if workload == "Cori-S1":
+        return run_one(get_workload(workload, CONTENDED), method, CONTENDED, **kw)
+    smoke = get_scale("smoke")
+    return run_one(get_ssd_workloads(smoke)[workload], method, smoke, **kw)
+
+
+def _ga_counters(result):
+    counters = result.telemetry.metrics.counters
+    return {k: counters[k].value for k in sorted(counters) if k.startswith("ga.")}
+
+
+class TestGoldenDigests:
+    """Solver-backed methods pinned to golden run digests."""
+
+    @pytest.mark.parametrize("workload,method", sorted(GOLDEN_DIGESTS))
+    def test_digest_pinned(self, workload, method):
+        result = _golden_run(workload, method)
+        assert fingerprint_digest(result) == GOLDEN_DIGESTS[workload, method]
+
+    def test_yardstick_run_pinned(self):
+        """A measured run: its gap summary and GA cache counters."""
+        result = _golden_run("Cori-S1", "Constrained_CPU", yardstick=True,
+                             collect_telemetry=True)
+        assert fingerprint_digest(result) == GOLDEN_DIGESTS["Cori-S1", "Constrained_CPU"]
+        assert result.optimality_gap == {
+            "count": 73.0, "mean": 0.0008058017727639,
+            "max": 0.058823529411764705, "p95": 0.0, "skipped": 0.0,
+        }
+        assert _ga_counters(result) == {
+            "ga.eval_cache.deduped": 1502, "ga.eval_cache.evictions": 0,
+            "ga.eval_cache.hits": 33977, "ga.eval_cache.misses": 437,
+        }
+
+    def test_yardstick_skips_pinned(self):
+        """The §5 SSD problem is outside the exact solver: every pass is
+        skipped and counted, and no gap histogram exists."""
+        result = _golden_run("Theta-S6", "BBSched", yardstick=True,
+                             collect_telemetry=True)
+        assert fingerprint_digest(result) == GOLDEN_DIGESTS["Theta-S6", "BBSched"]
+        assert result.optimality_gap is None
+        assert _ga_counters(result) == {
+            "ga.eval_cache.deduped": 1685, "ga.eval_cache.evictions": 0,
+            "ga.eval_cache.hits": 36036, "ga.eval_cache.misses": 163,
+            "ga.yardstick.skipped": 77,
+        }
 
 
 class TestFastEngineDifferential:
