@@ -26,7 +26,6 @@ from ..checkpoint import ResultsLedger
 from ..errors import ConfigurationError, TaskError
 from ..methods import METHODS_SECTION4
 from ..parallel import parallel_map
-from ..resilience import RetryPolicy
 from ..telemetry import TelemetrySnapshot, merge_snapshots
 from .config import Scale, get_scale
 from .runner import RunResult, run_one
@@ -46,12 +45,11 @@ def run_spec(spec: RunSpec, **extra: Any) -> RunResult:
     """
     scale = get_scale(spec.scale)
     trace = get_workload(spec.workload, scale)
-    retry = RetryPolicy(max_attempts=spec.max_attempts) if spec.max_attempts is not None else None
     return run_one(
         trace, spec.method, scale, seed=spec.seed, solver=spec.solver,
         window=spec.window, generations=spec.generations, faults=spec.faults,
         watchdog_budget=spec.watchdog_budget, collect_telemetry=spec.telemetry,
-        retry=retry, **extra,
+        retry=spec.retry(), **extra,
     )
 
 

@@ -34,7 +34,7 @@ from ..telemetry import TelemetrySnapshot, Tracer, get_tracer, snapshot_from, us
 from ..windows import WindowPolicy
 from ..workloads import Trace
 from .config import BASE_SEED, Scale, get_scale
-from .spec import RunSpec
+from .spec import RunSpec, retry_fields
 
 
 @dataclass
@@ -153,7 +153,7 @@ def run_one(
                 trace.name, method, sc, seed=ga_seed, solver=solver, window=window,
                 generations=generations, faults=scenario, watchdog_budget=budget,
                 telemetry=collect_telemetry,
-                max_attempts=retry.max_attempts if retry is not None else None,
+                **retry_fields(retry),
             ).digest()
         if budget is not None:
             selector = SolverWatchdog(selector, budget)

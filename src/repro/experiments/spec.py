@@ -32,8 +32,23 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
 from ..resilience.faults import FaultScenario
+from ..resilience.retry import RetryPolicy
 from ..rng import stable_hash
 from .config import BASE_SEED, Scale, get_scale
+
+
+#: The :class:`RetryPolicy` fields a spec carries, each only when set.
+RETRY_FIELDS = ("max_attempts", "backoff", "backoff_factor", "max_backoff")
+
+
+def retry_fields(retry: Optional[RetryPolicy]) -> Dict[str, Any]:
+    """The spec fields of ``retry``: its attempt budget whenever a policy
+    is given, and each backoff knob only where it is not the default."""
+    if retry is None:
+        return {}
+    default = RetryPolicy()
+    return {name: getattr(retry, name) for name in RETRY_FIELDS
+            if name == "max_attempts" or getattr(retry, name) != getattr(default, name)}
 
 
 def cell_seed(workload: str, method: str) -> int:
@@ -48,9 +63,12 @@ class RunSpec:
     ``scale`` is the name of a registered scale: the trace, the GA's
     population and mutation rate and the measurement trims come from it.
     ``max_attempts`` is the retry budget of fault-killed jobs
-    (``simulate --max-attempts``); ``None`` is the default
-    :class:`~repro.resilience.RetryPolicy`, and only a set budget enters
-    the canonical JSON, so specs that leave it unset keep their digests.
+    (``simulate --max-attempts``) and ``backoff``, ``backoff_factor`` and
+    ``max_backoff`` their requeue delays; ``None`` is the default
+    :class:`~repro.resilience.RetryPolicy`'s value, and only set fields
+    enter the canonical JSON, so specs that leave them unset keep their
+    digests.  A spec that sets a backoff knob carries its attempt budget
+    too, as :func:`retry_fields` does.
     Knobs that do not change a run's outcome (the yardstick,
     checkpointing) are not part of the spec.
     """
@@ -66,6 +84,9 @@ class RunSpec:
     watchdog_budget: Optional[float]
     telemetry: bool
     max_attempts: Optional[int] = None
+    backoff: Optional[float] = None
+    backoff_factor: Optional[float] = None
+    max_backoff: Optional[float] = None
 
     @classmethod
     def create(
@@ -82,11 +103,19 @@ class RunSpec:
         watchdog_budget: Optional[float] = None,
         telemetry: bool = False,
         max_attempts: Optional[int] = None,
+        backoff: Optional[float] = None,
+        backoff_factor: Optional[float] = None,
+        max_backoff: Optional[float] = None,
     ) -> "RunSpec":
         """The spec of one run, with ``None`` resolved against ``scale``
         (a :class:`Scale`, a scale name, or ``None`` for ``REPRO_SCALE``)."""
         sc = scale if isinstance(scale, Scale) else get_scale(scale)
         budget = watchdog_budget if watchdog_budget is not None else sc.watchdog_budget
+        delays = (backoff, backoff_factor, max_backoff)
+        if max_attempts is None and any(d is not None for d in delays):
+            max_attempts = RetryPolicy().max_attempts
+        backoff, backoff_factor, max_backoff = (
+            float(d) if d is not None else None for d in delays)
         return cls(
             workload=workload,
             method=method,
@@ -99,21 +128,31 @@ class RunSpec:
             watchdog_budget=float(budget) if budget is not None else None,
             telemetry=bool(telemetry),
             max_attempts=int(max_attempts) if max_attempts is not None else None,
+            backoff=backoff,
+            backoff_factor=backoff_factor,
+            max_backoff=max_backoff,
         )
 
     def as_dict(self) -> Dict[str, Any]:
         """The spec as JSON-safe values; fault knobs typed by their field,
-        so ``node_mtbf=3600`` and ``3600.0`` are one scenario; an unset
-        ``max_attempts`` is left out."""
+        so ``node_mtbf=3600`` and ``3600.0`` are one scenario; unset retry
+        fields are left out."""
         out = dataclasses.asdict(self)
-        if self.max_attempts is None:
-            del out["max_attempts"]
+        for name in RETRY_FIELDS:
+            if out[name] is None:
+                del out[name]
         if self.faults is not None:
             out["faults"] = {
                 f.name: (int if f.type in (int, "int") else float)(getattr(self.faults, f.name))
                 for f in dataclasses.fields(self.faults)
             }
         return out
+
+    def retry(self) -> Optional[RetryPolicy]:
+        """The run's :class:`RetryPolicy`; ``None`` when no field is set."""
+        fields = {name: getattr(self, name) for name in RETRY_FIELDS
+                  if getattr(self, name) is not None}
+        return RetryPolicy(**fields) if fields else None
 
     def canonical_json(self) -> str:
         """Sorted-key, whitespace-free JSON: the text the digest hashes."""

@@ -20,7 +20,7 @@ from repro.checkpoint import CheckpointConfig, ResultsLedger, fingerprint_digest
 from repro.errors import ConfigurationError, SimulationInterrupted
 from repro.experiments import RunSpec, get_scale, get_workload, run_grid, run_one
 from repro.experiments.grid import cell_seed
-from repro.resilience import FaultScenario, get_scenario
+from repro.resilience import FaultScenario, RetryPolicy, get_scenario
 
 SMOKE = get_scale("smoke")
 HARSH = dataclasses.replace(SMOKE, faults=get_scenario("harsh"), watchdog_budget=0.5)
@@ -62,7 +62,8 @@ class TestRunSpec:
     @pytest.mark.parametrize("change", [
         {"seed": 7}, {"solver": "milp"}, {"window": 5}, {"generations": 3},
         {"faults": get_scenario("mild")}, {"watchdog_budget": 2.0},
-        {"telemetry": True}, {"max_attempts": 3},
+        {"telemetry": True}, {"max_attempts": 3}, {"backoff": 5.0},
+        {"backoff_factor": 3.0}, {"max_backoff": 600.0},
     ])
     def test_every_field_moves_the_digest(self, change):
         base = RunSpec.create("Theta-S4", "BBSched", "smoke")
@@ -241,6 +242,33 @@ class TestCheckpointMeta:
             grid_mod.run_spec(spec, checkpoint=config)
         meta = read_header(tmp_path / "r.ckpt")["manifest"]["meta"]
         assert meta["spec_sha256"] == spec.digest()
+
+    def test_spec_with_a_backoff_runs_its_retry_policy(self, tmp_path):
+        spec = RunSpec.create("Theta-S4", "Baseline", HARSH, seed=11, backoff=5.0)
+        assert spec.max_attempts == RetryPolicy().max_attempts
+        assert spec.retry() == RetryPolicy(backoff=5.0)
+        config = CheckpointConfig(path=str(tmp_path / "r.ckpt"),
+                                  every_hours=0.0, stop_after=20_000.0)
+        with pytest.raises(SimulationInterrupted):
+            grid_mod.run_spec(spec, checkpoint=config)
+        meta = read_header(tmp_path / "r.ckpt")["manifest"]["meta"]
+        assert meta["spec_sha256"] == spec.digest()
+
+    def test_retry_backoff_moves_the_checkpoint_digest(self, tmp_path):
+        """The backoff changes a faulted run's requeue times, so it is
+        part of the run's identity; at its default it stays out."""
+        trace = get_workload("Theta-S4", SMOKE)
+        digests = []
+        for i, backoff in enumerate((60.0, 5.0)):
+            config = CheckpointConfig(path=str(tmp_path / f"r{i}.ckpt"),
+                                      every_hours=0.0, stop_after=20_000.0)
+            with pytest.raises(SimulationInterrupted):
+                run_one(trace, "Baseline", HARSH, seed=11, checkpoint=config,
+                        retry=RetryPolicy(max_attempts=3, backoff=backoff))
+            digests.append(read_header(config.path)["manifest"]["meta"]["spec_sha256"])
+        assert digests[0] != digests[1]
+        assert digests[0] == RunSpec.create("Theta-S4", "Baseline", HARSH, seed=11,
+                                            max_attempts=3).digest()
 
     @staticmethod
     def _simulate_digest(tmp_path, *extra):
