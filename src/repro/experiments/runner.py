@@ -99,7 +99,7 @@ def run_one(
     scale (see ``Scale.faults``) or any single run by passing them here.
 
     ``solver`` names a window solver from :mod:`repro.solvers.registry`
-    (``"ga"``, ``"scalar"``, ``"milp"``, ``"exhaustive"``) for the
+    (``"ga"``, ``"milp"``, ``"exhaustive"``) for the
     solver-backed methods; ``yardstick=True`` re-solves every selection
     pass exactly and attaches the GA-vs-exact optimality-gap summary to
     the result (see ``docs/solvers.md``).  Both are baked into

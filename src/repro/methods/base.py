@@ -9,7 +9,8 @@ verifies and will raise on a selector bug rather than silently drop jobs.
 
 Selectors normalising objectives to utilizations (weighted methods,
 BBSched's decision rule) need the system's total capacities; the engine
-calls :meth:`Selector.bind` once before the run.
+calls :meth:`Selector.bind` once before the run, and
+:meth:`Selector.report` once after it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from ..errors import SchedulingError
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with the simulator
     from ..simulator.cluster import Available
     from ..simulator.job import Job
+    from ..telemetry.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -47,28 +49,26 @@ class SystemCapacity:
         ssd = max(self.ssd_total, 1.0)
         return (float(self.nodes), max(self.bb, 1.0), ssd, ssd)
 
+    def scales(self, n_objectives: int) -> tuple[float, ...]:
+        """:meth:`scales4` for the §5 four-objective problem, else :meth:`scales2`."""
+        return self.scales4() if n_objectives == 4 else self.scales2()
+
+
+def has_ssd_tiers(avail: Available) -> bool:
+    """Does the cluster expose local SSD tiers (the §5 formulation)?"""
+    return len(avail.ssd_free) > 1 or any(cap > 0 for cap in avail.ssd_free)
+
 
 class Selector(abc.ABC):
     """One multi-resource scheduling method."""
 
     #: Identifier used in result tables (matches §4.3 naming).
     name: str = "selector"
-    #: Optional OptimalityYardstick attached by subclasses; the engine
-    #: harvests its gaps/skip counter through the properties below.
-    yardstick = None
+    #: Selections answered by a fallback (a watchdog's; 0 otherwise).
+    fallback_calls: int = 0
 
     def __init__(self) -> None:
         self.system: Optional[SystemCapacity] = None
-
-    @property
-    def optimality_gaps(self) -> List[float]:
-        """Per-pass method-vs-exact gaps (empty without a yardstick)."""
-        return list(self.yardstick.gaps) if self.yardstick is not None else []
-
-    @property
-    def yardstick_skipped(self) -> int:
-        """Passes the yardstick could not measure (0 without one)."""
-        return self.yardstick.skipped if self.yardstick is not None else 0
 
     def bind(self, system: SystemCapacity) -> None:
         """Attach system totals; called by the engine before the run."""
@@ -82,6 +82,11 @@ class Selector(abc.ABC):
     @abc.abstractmethod
     def select(self, window: Sequence[Job], avail: Available) -> List[int]:
         """Indices (into ``window``) of the jobs to start now."""
+
+    def report(self, metrics: MetricsRegistry) -> None:
+        """Fold end-of-run counters into the run's ``metrics``; the
+        engine calls it once, after the last pass.  Greedy methods have
+        nothing to report."""
 
     # --- shared helpers ----------------------------------------------------------
     @staticmethod

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..simulator.cluster import Available
 from ..simulator.job import Job
-from .base import Selector
+from .base import Selector, has_ssd_tiers
 
 
 class BinPackingSelector(Selector):
@@ -29,7 +29,7 @@ class BinPackingSelector(Selector):
         system = self._require_system()
         if not window:
             return []
-        ssd_tiers = len(avail.ssd_free) > 1 or any(c > 0 for c in avail.ssd_free)
+        ssd_tiers = has_ssd_tiers(avail)
         # Capacity scales make the alignment dot product unit-free.
         if ssd_tiers:
             scales = np.asarray(system.scales4()[:3])

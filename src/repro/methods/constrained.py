@@ -11,27 +11,25 @@ implementation of the constrained approach the paper compares against.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from ..core.params import DEFAULT_GENERATIONS, DEFAULT_MUTATION, DEFAULT_POPULATION
-from ..core.problem import SelectionProblem, SSDSelectionProblem
+from ..core.problem import MOOProblem
 from ..errors import ConfigurationError
-from ..rng import SeedLike, make_rng
-from ..simulator.cluster import Available
-from ..simulator.job import Job
+from ..rng import SeedLike
 from ..solvers.base import WindowSolver
-from ..solvers.ga import GAWindowSolver
 from ..solvers.gap import OptimalityYardstick
-from .base import Selector
+from .base import SystemCapacity
+from .solved import ScalarizedSelector
 
 #: Objective index per optimization target (column of the MOO objective
 #: matrix: f1 nodes, f2 burst buffer, f3 local SSD).
 _TARGETS = {"cpu": 0, "bb": 1, "ssd": 2}
 
 
-class ConstrainedSelector(Selector):
+class ConstrainedSelector(ScalarizedSelector):
     """Maximize one resource's utilization under all capacity constraints.
 
     Parameters
@@ -39,12 +37,8 @@ class ConstrainedSelector(Selector):
     target:
         ``"cpu"``, ``"bb"``, or ``"ssd"`` — which utilization to maximize.
         ``"ssd"`` requires a cluster with local SSD tiers.
-    solver:
-        A :class:`WindowSolver`, a registry name, or ``None`` for the
-        scalar GA built from the knobs above.
-    yardstick:
-        Optional :class:`OptimalityYardstick` recording the per-pass gap
-        between this method's scalarized value and the exact optimum.
+    generations, population, mutation, seed, solver, yardstick:
+        As for :class:`~repro.methods.solved.SolverSelector`.
     """
 
     def __init__(
@@ -58,57 +52,26 @@ class ConstrainedSelector(Selector):
         solver: Union[WindowSolver, str, None] = None,
         yardstick: Optional[OptimalityYardstick] = None,
     ) -> None:
-        super().__init__()
         if target not in _TARGETS:
             raise ConfigurationError(
                 f"target must be one of {sorted(_TARGETS)}, got {target!r}"
             )
+        super().__init__(
+            generations=generations, population=population, mutation=mutation,
+            seed=seed, solver=solver, yardstick=yardstick,
+        )
         self.target = target
         self.name = f"Constrained_{target.upper()}"
-        if solver is None:
-            solver = GAWindowSolver(
-                generations=generations,
-                population=population,
-                mutation=mutation,
+
+    def coefficients(self, problem: MOOProblem, system: SystemCapacity) -> np.ndarray:
+        index = _TARGETS[self.target]
+        if index >= problem.n_objectives:
+            raise ConfigurationError(
+                "Constrained_SSD requires a cluster with local SSD tiers"
             )
-        elif isinstance(solver, str):
-            from ..solvers.registry import make_window_solver
-
-            solver = make_window_solver(
-                solver,
-                generations=generations,
-                population=population,
-                mutation=mutation,
-            )
-        self.solver: WindowSolver = solver
-        self.yardstick = yardstick
-        self._rng = make_rng(seed)
-
-    @property
-    def eval_cache_stats(self):
-        """Cumulative cache counters across all select() calls, or None
-        for a solver without a cache."""
-        return self.solver.eval_cache_stats
-
-    def select(self, window: Sequence[Job], avail: Available) -> List[int]:
-        self._require_system()
-        if not window:
-            return []
-        ssd_tiers = len(avail.ssd_free) > 1 or any(c > 0 for c in avail.ssd_free)
-        if ssd_tiers:
-            problem = SSDSelectionProblem(window, avail.nodes, avail.bb, avail.ssd_free)
-        else:
-            if self.target == "ssd":
-                raise ConfigurationError(
-                    "Constrained_SSD requires a cluster with local SSD tiers"
-                )
-            problem = SelectionProblem.from_window(window, avail.nodes, avail.bb)
         coeffs = np.zeros(problem.n_objectives)
-        coeffs[_TARGETS[self.target]] = 1.0
-        best = self.solver.solve_scalar(problem, coeffs, seed=self._rng)
-        if self.yardstick is not None:
-            self.yardstick.measure(problem, coeffs, best.fitness)
-        return [int(i) for i in np.flatnonzero(best.genes)]
+        coeffs[index] = 1.0
+        return coeffs
 
 
 def constrained_cpu(**kw) -> ConstrainedSelector:

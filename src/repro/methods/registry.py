@@ -11,11 +11,12 @@ method.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from ..core.params import DEFAULT_GENERATIONS, DEFAULT_MUTATION, DEFAULT_POPULATION
 from ..errors import ConfigurationError
 from ..rng import SeedLike
+from ..solvers.gap import OptimalityYardstick
 from .base import Selector
 from .binpacking import BinPackingSelector
 from .constrained import constrained_bb, constrained_cpu, constrained_ssd
@@ -66,7 +67,7 @@ def make_selector(
     mutation: float = DEFAULT_MUTATION,
     seed: SeedLike = None,
     solver: Optional[str] = None,
-    yardstick: Union[bool, object] = False,
+    yardstick: bool = False,
 ) -> Selector:
     """Build a selector by its §4.3 name.
 
@@ -75,43 +76,35 @@ def make_selector(
     the greedy methods (Baseline, Bin_Packing) ignore them.
 
     ``solver`` names a window solver from :mod:`repro.solvers.registry`
-    (``"ga"``, ``"scalar"``, ``"milp"``, ``"exhaustive"``); ``None`` keeps
-    each method's stock GA.  ``yardstick=True`` attaches a fresh
-    :class:`~repro.solvers.gap.OptimalityYardstick` (or pass an instance
-    to share one), recording the per-pass method-vs-exact optimality gap
-    into the run's telemetry.  Both only apply to the solver-backed
-    methods; the greedy methods ignore them.
+    (``"ga"``, ``"milp"``, ``"exhaustive"``); ``None`` is the paper's GA.
+    ``yardstick=True`` attaches a fresh
+    :class:`~repro.solvers.gap.OptimalityYardstick`, recording the
+    per-pass method-vs-exact optimality gap into the run's telemetry.
+    Both only apply to the solver-backed methods; the greedy methods
+    ignore them.
     """
     # Imported here, not at module scope: BBSchedSelector lives in repro.core,
     # which itself imports repro.methods.base — a top-level import would cycle.
     from ..core.bbsched import BBSchedSelector
 
-    yd = None
-    if yardstick:
-        from ..solvers.gap import OptimalityYardstick
-
-        yd = yardstick if isinstance(yardstick, OptimalityYardstick) else None
-        if yd is None:
-            yd = OptimalityYardstick()
-    # "ga" names each method's stock configuration, so the selectors build
-    # their own GA from the knobs (byte-identical to solver=None).
-    solver_name = None if solver in (None, "ga") else solver
-    ga = dict(
+    solved = dict(
         generations=generations,
         population=population,
         mutation=mutation,
+        seed=seed,
+        solver=solver,
+        yardstick=OptimalityYardstick() if yardstick else None,
     )
-    solved = dict(ga, solver=solver_name, yardstick=yd)
     factories: Dict[str, Callable[[], Selector]] = {
         "Baseline": NaiveSelector,
-        "Weighted": lambda: weighted_equal(seed=seed, **solved),
-        "Weighted_CPU": lambda: weighted_cpu(seed=seed, **solved),
-        "Weighted_BB": lambda: weighted_bb(seed=seed, **solved),
-        "Constrained_CPU": lambda: constrained_cpu(seed=seed, **solved),
-        "Constrained_BB": lambda: constrained_bb(seed=seed, **solved),
-        "Constrained_SSD": lambda: constrained_ssd(seed=seed, **solved),
+        "Weighted": lambda: weighted_equal(**solved),
+        "Weighted_CPU": lambda: weighted_cpu(**solved),
+        "Weighted_BB": lambda: weighted_bb(**solved),
+        "Constrained_CPU": lambda: constrained_cpu(**solved),
+        "Constrained_BB": lambda: constrained_bb(**solved),
+        "Constrained_SSD": lambda: constrained_ssd(**solved),
         "Bin_Packing": BinPackingSelector,
-        "BBSched": lambda: BBSchedSelector(seed=seed, **solved),
+        "BBSched": lambda: BBSchedSelector(**solved),
     }
     try:
         return factories[name]()

@@ -20,23 +20,21 @@ handed to the scalar solver.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from ..core.problem import SelectionProblem, SSDSelectionProblem
 from ..core.params import DEFAULT_GENERATIONS, DEFAULT_MUTATION, DEFAULT_POPULATION
+from ..core.problem import MOOProblem
 from ..errors import ConfigurationError
-from ..rng import SeedLike, make_rng
-from ..simulator.cluster import Available
-from ..simulator.job import Job
+from ..rng import SeedLike
 from ..solvers.base import WindowSolver
-from ..solvers.ga import GAWindowSolver
 from ..solvers.gap import OptimalityYardstick
-from .base import Selector
+from .base import SystemCapacity
+from .solved import ScalarizedSelector
 
 
-class WeightedSelector(Selector):
+class WeightedSelector(ScalarizedSelector):
     """Maximize a weighted sum of resource utilizations.
 
     Parameters
@@ -48,12 +46,10 @@ class WeightedSelector(Selector):
         Weights for the §5 objectives; ignored on systems without SSD
         tiers.  Defaults make the 4-objective ``Weighted`` method equally
         weighted, as §5 specifies.
-    solver:
-        A :class:`WindowSolver`, a registry name, or ``None`` for the
-        scalar GA built from the knobs above.
-    yardstick:
-        Optional :class:`OptimalityYardstick` recording the per-pass gap
-        between this method's scalarized value and the exact optimum.
+    name:
+        Result-table name; ``"Weighted"`` by default.
+    generations, population, mutation, seed, solver, yardstick:
+        As for :class:`~repro.methods.solved.SolverSelector`.
     """
 
     def __init__(
@@ -71,7 +67,6 @@ class WeightedSelector(Selector):
         solver: Union[WindowSolver, str, None] = None,
         yardstick: Optional[OptimalityYardstick] = None,
     ) -> None:
-        super().__init__()
         for label, wgt in (
             ("node_weight", node_weight),
             ("bb_weight", bb_weight),
@@ -82,59 +77,20 @@ class WeightedSelector(Selector):
                 raise ConfigurationError(f"{label} must be non-negative, got {wgt}")
         if node_weight + bb_weight == 0:
             raise ConfigurationError("node and BB weights cannot both be zero")
+        super().__init__(
+            generations=generations, population=population, mutation=mutation,
+            seed=seed, solver=solver, yardstick=yardstick,
+        )
         self.node_weight = node_weight
         self.bb_weight = bb_weight
         self.ssd_weight = ssd_weight
         self.waste_weight = waste_weight
         self.name = name or "Weighted"
-        if solver is None:
-            solver = GAWindowSolver(
-                generations=generations,
-                population=population,
-                mutation=mutation,
-            )
-        elif isinstance(solver, str):
-            from ..solvers.registry import make_window_solver
 
-            solver = make_window_solver(
-                solver,
-                generations=generations,
-                population=population,
-                mutation=mutation,
-            )
-        self.solver: WindowSolver = solver
-        self.yardstick = yardstick
-        self._rng = make_rng(seed)
-
-    @property
-    def eval_cache_stats(self):
-        """Cumulative cache counters across all select() calls, or None
-        for a solver without a cache."""
-        return self.solver.eval_cache_stats
-
-    def select(self, window: Sequence[Job], avail: Available) -> List[int]:
-        system = self._require_system()
-        if not window:
-            return []
-        ssd_tiers = len(avail.ssd_free) > 1 or any(c > 0 for c in avail.ssd_free)
-        if ssd_tiers:
-            problem = SSDSelectionProblem(window, avail.nodes, avail.bb, avail.ssd_free)
-            scales = system.scales4()
-            weights = (
-                self.node_weight,
-                self.bb_weight,
-                self.ssd_weight,
-                self.waste_weight,
-            )
-        else:
-            problem = SelectionProblem.from_window(window, avail.nodes, avail.bb)
-            scales = system.scales2()
-            weights = (self.node_weight, self.bb_weight)
-        coeffs = np.asarray(weights) / np.asarray(scales)
-        best = self.solver.solve_scalar(problem, coeffs, seed=self._rng)
-        if self.yardstick is not None:
-            self.yardstick.measure(problem, coeffs, best.fitness)
-        return [int(i) for i in np.flatnonzero(best.genes)]
+    def coefficients(self, problem: MOOProblem, system: SystemCapacity) -> np.ndarray:
+        weights = (self.node_weight, self.bb_weight, self.ssd_weight, self.waste_weight)
+        n = problem.n_objectives
+        return np.asarray(weights[:n]) / np.asarray(system.scales(n))
 
 
 def weighted_equal(**kw) -> WeightedSelector:

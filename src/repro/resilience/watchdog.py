@@ -138,24 +138,10 @@ class SolverWatchdog(Selector):
         """Number of selections answered by the fallback (engine-facing)."""
         return self.stats.fallback_calls
 
-    @property
-    def yardstick(self):  # type: ignore[override]
-        """Inner selector's optimality yardstick (engine-facing).
-
-        Forwarding the yardstick itself lets the base class's
-        ``optimality_gaps``/``yardstick_skipped`` views work unchanged.
-        """
-        return getattr(self.inner, "yardstick", None)
-
-    @property
-    def eval_cache_stats(self):
-        """Inner selector's GA eval-cache counters (engine-facing).
-
-        ``None`` when the inner selector has no cache (greedy methods) or
-        caching is disabled; fallback selectors are cheap greedy/tiny-GA
-        paths whose counters are not tracked.
-        """
-        return getattr(self.inner, "eval_cache_stats", None)
+    def report(self, metrics) -> None:
+        """The inner selector's report; the fallbacks' counters (cheap
+        greedy or tiny-GA paths) are not tracked."""
+        self.inner.report(metrics)
 
     def select(self, window: Sequence[Job], avail: Available) -> List[int]:
         self.stats.calls += 1

@@ -426,23 +426,10 @@ class SchedulingEngine:
                     # scheduling pass has run — a consistent snapshot point.
                     checkpointer.after_batch(self)
             loop_span.set(makespan=self._now, events=c_events.value)
-        self._stats.fallback_calls = getattr(self.selector, "fallback_calls", 0)
+        self._stats.fallback_calls = self.selector.fallback_calls
         metrics.counter("engine.solver_fallbacks").inc(self._stats.fallback_calls)
-        # GA evaluation-cache counters (None for greedy methods).
-        cache_stats = getattr(self.selector, "eval_cache_stats", None)
-        if cache_stats:
-            for key, value in cache_stats.items():
-                metrics.inc(f"ga.eval_cache.{key}", value)
-        # Optimality-gap telemetry (empty unless a yardstick-equipped
-        # selector measured its passes against the exact optimum).
-        gaps = getattr(self.selector, "optimality_gaps", None)
-        if gaps:
-            gap_hist = metrics.histogram("ga.optimality_gap")
-            for gap in gaps:
-                gap_hist.observe(gap)
-        skipped = getattr(self.selector, "yardstick_skipped", 0)
-        if skipped:
-            metrics.inc("ga.yardstick.skipped", skipped)
+        # GA cache counters and optimality gaps (nothing for greedy methods).
+        self.selector.report(metrics)
         # Derived views: EngineStats timing fields come from the telemetry
         # histogram, the run's single timing source.
         selector_hist = metrics.histograms.get("engine.selector_seconds")

@@ -8,7 +8,7 @@ for the solver matrix and the optimality-gap methodology.
 
 from .base import WindowSolver
 from .exhaustive import ExhaustiveWindowSolver
-from .ga import GAWindowSolver, ScalarGAWindowSolver
+from .ga import GAWindowSolver
 from .gap import OptimalityYardstick
 from .milp import MILPWindowSolver
 from .registry import (
@@ -21,7 +21,6 @@ from .registry import (
 __all__ = [
     "WindowSolver",
     "GAWindowSolver",
-    "ScalarGAWindowSolver",
     "ExhaustiveWindowSolver",
     "MILPWindowSolver",
     "OptimalityYardstick",

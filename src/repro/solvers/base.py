@@ -15,7 +15,7 @@ build, which coefficients or decision rule to apply — and delegate the
 *optimization* to a solver, so GA, exact MILP, exhaustive enumeration, and
 future solvers (RL à la MRSch) are interchangeable drop-ins.  Solvers are
 discovered by name through :mod:`repro.solvers.registry` and surface on
-the CLI as ``--solver {ga,scalar,milp,exhaustive}``.
+the CLI as ``--solver {ga,milp,exhaustive}``.
 
 Contract notes for implementers:
 

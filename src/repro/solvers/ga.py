@@ -14,19 +14,11 @@ Both paths thread the caller's RNG through unchanged, so selectors
 refactored onto this adapter reproduce the pre-refactor byte-identical
 results — the construction order, argument lists, and seed handling match
 the code they replace exactly.
-
-``ScalarGAWindowSolver`` ("scalar") is the degenerate-scalarization
-family from §2.3 run as a *front* method: one unit-coefficient scalar GA
-per objective, with the union of bests culled to its nondominated subset.
-It exists as a cheap front approximation to compare against the true MOO
-GA and the exact solvers.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-import numpy as np
 
 from ..core.ga import (
     DEFAULT_GENERATIONS,
@@ -35,7 +27,6 @@ from ..core.ga import (
     MOGASolver,
     ParetoSet,
 )
-from ..core.pareto import non_dominated_mask, unique_front
 from ..core.scalar import ScalarGASolver, ScalarSolution
 from ..rng import SeedLike
 from .base import WindowSolver
@@ -107,35 +98,3 @@ class GAWindowSolver(WindowSolver):
         """Combined MOO + scalar cache counters."""
         moga = self.moga.eval_cache_stats
         return {key: moga[key] + self._scalar_stats[key] for key in _ZERO_STATS}
-
-
-class ScalarGAWindowSolver(GAWindowSolver):
-    """Per-objective scalar GAs whose union of bests approximates the front.
-
-    One unit-coefficient :meth:`solve_scalar` per objective, culled to the
-    nondominated subset.  A front of at most ``n_objectives`` points — the
-    §2.3 single-resource viewpoints side by side — useful as a fast, weak
-    baseline for the front-quality comparisons in ``docs/solvers.md``.
-    """
-
-    name = "scalar"
-    exact = False
-
-    def solve(self, problem, seed: SeedLike = None) -> ParetoSet:
-        genes_rows = []
-        objective_rows = []
-        for j in range(problem.n_objectives):
-            coeffs = np.zeros(problem.n_objectives)
-            coeffs[j] = 1.0
-            best = self.solve_scalar(problem, coeffs, seed=seed)
-            genes_rows.append(np.asarray(best.genes, dtype=np.uint8))
-            objective_rows.append(np.asarray(best.objectives, dtype=float))
-        genes = np.vstack(genes_rows) if genes_rows else np.zeros((0, problem.w), np.uint8)
-        objectives = (
-            np.vstack(objective_rows)
-            if objective_rows
-            else np.zeros((0, problem.n_objectives))
-        )
-        keep = non_dominated_mask(objectives)
-        genes, objectives = unique_front(genes[keep], objectives[keep])
-        return ParetoSet(genes=genes, objectives=objectives)

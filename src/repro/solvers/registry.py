@@ -1,6 +1,6 @@
 """Window-solver registry: names on the CLI → configured solver plugins.
 
-``--solver {ga,scalar,milp,exhaustive}`` composes with every selection
+``--solver {ga,milp,exhaustive}`` composes with every selection
 method: the registry constructs the solver from the run's GA knobs (which
 GA-backed solvers consume and exact solvers ignore) and the selectors
 treat it as an opaque :class:`~repro.solvers.base.WindowSolver`.  Adding
@@ -16,7 +16,7 @@ from ..core.ga import DEFAULT_GENERATIONS, DEFAULT_MUTATION, DEFAULT_POPULATION
 from ..errors import ConfigurationError
 from .base import WindowSolver
 from .exhaustive import ExhaustiveWindowSolver
-from .ga import GAWindowSolver, ScalarGAWindowSolver
+from .ga import GAWindowSolver
 from .milp import MILPWindowSolver
 
 #: name → (factory, one-line description for ``repro solvers``).
@@ -74,34 +74,6 @@ def make_window_solver(
     )
 
 
-def _ga_factory(
-    generations: int = DEFAULT_GENERATIONS,
-    population: int = DEFAULT_POPULATION,
-    mutation: float = DEFAULT_MUTATION,
-    selection: str = "age",
-) -> WindowSolver:
-    return GAWindowSolver(
-        generations=generations,
-        population=population,
-        mutation=mutation,
-        selection=selection,
-    )
-
-
-def _scalar_factory(
-    generations: int = DEFAULT_GENERATIONS,
-    population: int = DEFAULT_POPULATION,
-    mutation: float = DEFAULT_MUTATION,
-    selection: str = "age",
-) -> WindowSolver:
-    return ScalarGAWindowSolver(
-        generations=generations,
-        population=population,
-        mutation=mutation,
-        selection=selection,
-    )
-
-
 def _milp_factory(**_ga_knobs) -> WindowSolver:
     return MILPWindowSolver()
 
@@ -112,13 +84,8 @@ def _exhaustive_factory(**_knobs) -> WindowSolver:
 
 register_window_solver(
     "ga",
-    _ga_factory,
+    GAWindowSolver,
     "multi-objective genetic algorithm (§3.2.2; the paper's solver)",
-)
-register_window_solver(
-    "scalar",
-    _scalar_factory,
-    "per-objective scalar GAs, union culled to the nondominated set",
 )
 register_window_solver(
     "milp",

@@ -80,6 +80,16 @@ CONTENDED = dataclasses.replace(get_scale("smoke"), n_jobs=240)
 #: The §4 methods that run ``ScalarGASolver``.  Doubling ``generations``
 #: changes all five fingerprints at CONTENDED on Cori-S1, and none at TINY
 #: or on Theta-S2, so CONTENDED Cori-S1 is where their GA is exercised.
+#:
+#: Survivor tie-breaks reach some of these runs and not others.  With
+#: ``ScalarGASolver._select`` letting older chromosomes win fitness ties,
+#: over twelve cases (Cori/Theta-S1..S4 at CONTENDED, Cori/Theta-S4 at
+#: smoke, Cori-S5 and Theta-S6 at smoke) Constrained_CPU's digest changed
+#: in seven and Weighted_CPU's in three (Cori-S3, Theta-S1 and Theta-S3
+#: at CONTENDED), not on Cori-S1.  A one-hot fitness ties whenever two
+#: selections use the same node count; an 80/20 weighted sum ties only
+#: when the node and BB totals both match.  GOLDEN_DIGESTS pins
+#: Weighted_CPU on Theta-S1 for that reason.
 SCALAR_GA_METHODS = ("Weighted", "Weighted_BB", "Weighted_CPU",
                      "Constrained_BB", "Constrained_CPU")
 
@@ -428,8 +438,8 @@ class TestRunDifferential:
 #: differentials above compare two paths through the same selector
 #: classes, so a change to a method's formulation (its coefficients, its
 #: problem, its solver construction) passes them unseen; these pins do
-#: not.  Keyed by (workload, method); CONTENDED for Cori-S1, smoke for
-#: the §5 SSD workloads.
+#: not.  Keyed by (workload, method); CONTENDED for the §4 workloads,
+#: smoke for the §5 SSD workloads.
 GOLDEN_DIGESTS = {
     ("Cori-S1", "Weighted"):
         "292207be66cf4ef44bb8857a48b3784eef0782b0094cf243ec15b34954e01603",
@@ -443,6 +453,8 @@ GOLDEN_DIGESTS = {
         "f953d12041fbf8b4a8c577f465ba12a02d7f6bdfb9cd04f685c92794e19ca8a8",
     ("Cori-S1", "BBSched"):
         "16b972a2c876b2a7e13f5411df2caa426ed089022396c6c9cb4c3e63e879133a",
+    ("Theta-S1", "Weighted_CPU"):
+        "ddf3681b5ca794868e0fa6a02e25549991f77156e780122246b785b1dd102e4f",
     ("Cori-S5", "Weighted"):
         "9e92290dadb43b24619f5d47fdf69126e812922a60669fa9461d66f4bad1d60f",
     ("Cori-S5", "Constrained_CPU"):
@@ -467,10 +479,11 @@ GOLDEN_DIGESTS = {
 
 
 def _golden_run(workload, method, **kw):
-    if workload == "Cori-S1":
-        return run_one(get_workload(workload, CONTENDED), method, CONTENDED, **kw)
     smoke = get_scale("smoke")
-    return run_one(get_ssd_workloads(smoke)[workload], method, smoke, **kw)
+    ssd = get_ssd_workloads(smoke)
+    if workload in ssd:
+        return run_one(ssd[workload], method, smoke, **kw)
+    return run_one(get_workload(workload, CONTENDED), method, CONTENDED, **kw)
 
 
 def _ga_counters(result):

@@ -23,7 +23,6 @@ from repro.solvers import (
     GAWindowSolver,
     MILPWindowSolver,
     OptimalityYardstick,
-    ScalarGAWindowSolver,
     WindowSolver,
     available_window_solvers,
     make_window_solver,
@@ -101,8 +100,9 @@ def front_as_set(pareto):
 class TestRegistry:
     def test_stock_solvers_registered(self):
         names = available_window_solvers()
-        for expected in ("ga", "scalar", "milp", "exhaustive"):
+        for expected in ("ga", "milp", "exhaustive"):
             assert expected in names
+        assert "scalar" not in names
 
     def test_unknown_name_raises_with_choices(self):
         with pytest.raises(ConfigurationError, match="milp"):
@@ -113,12 +113,10 @@ class TestRegistry:
         assert rows["milp"]["exact"] is True
         assert rows["exhaustive"]["exact"] is True
         assert rows["ga"]["exact"] is False
-        assert rows["scalar"]["exact"] is False
         assert all(row["description"] for row in rows.values())
 
     def test_factory_types(self):
         assert isinstance(make_window_solver("ga"), GAWindowSolver)
-        assert isinstance(make_window_solver("scalar"), ScalarGAWindowSolver)
         assert isinstance(make_window_solver("milp"), MILPWindowSolver)
         assert isinstance(make_window_solver("exhaustive"), ExhaustiveWindowSolver)
 
@@ -428,7 +426,7 @@ class TestYardstick:
     def test_ga_gap_nonnegative(self):
         rng = np.random.default_rng(17)
         yd = OptimalityYardstick()
-        ga = ScalarGAWindowSolver(generations=4, population=12, mutation=0.2)
+        ga = GAWindowSolver(generations=4, population=12, mutation=0.2)
         for trial in range(5):
             problem = random_problem(rng, 10, total_nodes=2_000, total_bb=9_000.0)
             coeffs = (1.0, 0.5)
@@ -484,6 +482,6 @@ class TestYardstick:
                             yardstick=True)
         sel.bind(SystemCapacity(avail.nodes, avail.bb))
         sel.select(window, avail)
-        assert len(sel.optimality_gaps) == 1
-        assert sel.optimality_gaps[0] >= 0.0
-        assert sel.yardstick_skipped == 0
+        assert len(sel.yardstick.gaps) == 1
+        assert sel.yardstick.gaps[0] >= 0.0
+        assert sel.yardstick.skipped == 0

@@ -192,3 +192,23 @@ class TestWatchdogInEngine:
         # After the trip every call is a cheap fallback, so the mean sits
         # well below the inner selector's 0.3 s.
         assert res.stats.mean_selector_time < 0.3
+
+    def test_wrapped_run_reports_the_inner_selectors_counters(self):
+        """The engine's end-of-run report reaches through the watchdog:
+        GA cache counters and gap samples match the bare run's."""
+        from repro.experiments import get_scale, get_workload, run_one
+
+        smoke = get_scale("smoke")
+        trace = get_workload("Theta-S4", smoke)
+
+        def ga_report(**kw):
+            result = run_one(trace, "BBSched", smoke, seed=2, yardstick=True,
+                             collect_telemetry=True, **kw)
+            metrics = result.telemetry.metrics
+            counters = {k: c.value for k, c in metrics.counters.items()
+                        if k.startswith("ga.")}
+            return counters, metrics.histograms["ga.optimality_gap"].count
+
+        bare = ga_report()
+        assert bare[0]["ga.eval_cache.misses"] > 0 and bare[1] > 0
+        assert ga_report(watchdog_budget=30) == bare
